@@ -4,7 +4,7 @@
 //! to leave enabled in production: counters are single atomic adds, and a
 //! latency sample is two clock reads plus one atomic bucket increment.
 //! This bench proves it on the same workload as `read_throughput`: the
-//! 4-worker read tier serving 8 in-process clients, timed with the
+//! read tier serving 8 in-process clients, timed with the
 //! registry enabled and with it disabled (the handles short-circuit to
 //! no-ops), A/B-interleaved with best-of-N per mode so scheduler noise
 //! cancels instead of accumulating into either arm.
@@ -66,7 +66,6 @@ fn request_for(logins: &[String], round: usize, client: usize) -> Request {
 /// wall-clock seconds for the request loop alone (build excluded).
 fn run_trial(instrumented: bool) -> f64 {
     let (mut server, mut clients, logins) = build();
-    server.set_read_workers(4);
     server.obs().set_enabled(instrumented);
     let t0 = std::time::Instant::now();
     for round in 0..ROUNDS {

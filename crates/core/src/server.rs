@@ -8,15 +8,15 @@
 //! replies), which is what let the original stay a single process while
 //! "reading new RPC requests and sending old replies simultaneously".
 //!
-//! This reproduction goes one step further than the paper's single process:
-//! the state sits behind a reader-writer lock, and each poll pass classifies
-//! ready requests before dispatch. Retrieve-class queries (and `Access`
-//! pre-checks) run **concurrently** on a small worker pool under shared
-//! guards; mutations, `Authenticate`, and `Trigger_DCM` drain **serially**
-//! under the exclusive guard. Per connection, FIFO order is preserved: a
-//! connection's leading run of reads joins the concurrent tier, and from its
-//! first write onward the remainder of its batch executes in order on the
-//! serial tier, so a read that follows a write always observes it. Lock
+//! The state sits behind a reader-writer lock, and each poll pass
+//! classifies ready requests before dispatch. Retrieve-class queries (and
+//! `Access` pre-checks) run inline under **one shared guard** per pass, so
+//! the DCM and other readers can hold shared guards alongside them;
+//! mutations, `Authenticate`, and `Trigger_DCM` drain **serially** under the
+//! exclusive guard. Per connection, FIFO order is preserved: a connection's
+//! leading run of reads joins the read tier, and from its first write onward
+//! the remainder of its batch executes in order on the write tier, so a read
+//! that follows a write always observes it. Lock
 //! acquisition is bounded — a tier that cannot get its guard within the
 //! configured patience sheds its requests with [`MrError::Busy`] instead of
 //! blocking the loop, mirroring the database `LockManager`'s policy of
@@ -31,6 +31,7 @@
 use std::collections::HashMap;
 use std::io;
 use std::net::TcpListener;
+use std::panic::AssertUnwindSafe;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -40,7 +41,7 @@ use moira_protocol::transport::{Channel, TcpChannel};
 use moira_protocol::wire::{check_version, MajorRequest, Reply, Request};
 
 use crate::access;
-use crate::reactor::{Reactor, Waker, LISTENER_KEY};
+use crate::reactor::{Reactor, ReadySet, Waker, LISTENER_KEY};
 use crate::registry::Registry;
 use crate::state::{shared, Caller, ClientInfo, MoiraState, SharedState};
 
@@ -86,19 +87,6 @@ struct Connection {
     paused: bool,
 }
 
-/// One timed request dispatch, for the throughput experiments.
-#[derive(Debug, Clone, Copy)]
-pub struct ServiceSample {
-    /// True if the request ran on the shared (read) tier.
-    pub read_tier: bool,
-    /// Handler service time in nanoseconds (lock wait excluded).
-    pub nanos: u64,
-}
-
-/// One read-tier result: task id, replies, and the handler's service time —
-/// `None` when the request was shed with `Busy` instead of executed.
-type ReadOutcome = (usize, Vec<Reply>, Option<u64>);
-
 /// How one ready frame is dispatched.
 enum Work {
     /// Answered without touching state (noop, decode/version errors, sheds).
@@ -123,6 +111,15 @@ struct TaskSlot {
     caller: Caller,
 }
 
+/// Connection bookkeeping one poll pass accumulates across its phases.
+#[derive(Default)]
+struct PassBook {
+    /// Connections to tear down at the end of the pass.
+    dead: Vec<usize>,
+    /// Connections whose reactor interest must be re-synced.
+    touched: Vec<usize>,
+}
+
 /// The Moira server: one process, two dispatch tiers.
 pub struct MoiraServer {
     state: SharedState,
@@ -136,11 +133,6 @@ pub struct MoiraServer {
     overload_limit: Option<usize>,
     /// Requests shed with `Busy` over the server's lifetime.
     shed_requests: u64,
-    /// Worker threads for the shared tier. `0` selects the legacy
-    /// single-lock baseline: every request, reads included, drains serially
-    /// under the exclusive guard. `1` keeps the tier split but runs reads
-    /// inline. `>1` fans reads out across that many scoped threads.
-    read_workers: usize,
     /// Bounded lock-acquisition budget before shedding with `Busy`.
     lock_patience: u32,
     /// Requests executed on the shared tier over the server's lifetime
@@ -149,8 +141,6 @@ pub struct MoiraServer {
     /// Requests executed on the exclusive tier over the server's lifetime
     /// (requests shed with `Busy` are not counted).
     writes_dispatched: u64,
-    /// When enabled, per-request service times for the bench harness.
-    service_trace: Option<Vec<ServiceSample>>,
     /// The state's instrument registry (cached so the dispatch path never
     /// takes the state lock just to record).
     obs: moira_obs::Registry,
@@ -200,9 +190,6 @@ impl MoiraServer {
         registry: Arc<Registry>,
         verifier: Option<Verifier>,
     ) -> MoiraServer {
-        let read_workers = std::thread::available_parallelism()
-            .map(|n| n.get().min(8))
-            .unwrap_or(1);
         let obs = state.read().obs.clone();
         MoiraServer {
             obs_reads: obs.counter("server.reads_dispatched"),
@@ -228,11 +215,9 @@ impl MoiraServer {
             listener: None,
             overload_limit: None,
             shed_requests: 0,
-            read_workers,
             lock_patience: DEFAULT_LOCK_PATIENCE,
             reads_dispatched: 0,
             writes_dispatched: 0,
-            service_trace: None,
         }
     }
 
@@ -260,18 +245,6 @@ impl MoiraServer {
         self.shed_requests
     }
 
-    /// Sets the shared-tier worker count: `0` = single-lock serialized
-    /// baseline, `1` = tiered but inline, `n > 1` = reads fan out over `n`
-    /// scoped threads per poll pass.
-    pub fn set_read_workers(&mut self, workers: usize) {
-        self.read_workers = workers;
-    }
-
-    /// The configured shared-tier worker count.
-    pub fn read_workers(&self) -> usize {
-        self.read_workers
-    }
-
     /// Bounds how many try-lock attempts a tier makes before shedding its
     /// batch with `Busy`.
     pub fn set_lock_patience(&mut self, attempts: u32) {
@@ -283,27 +256,6 @@ impl MoiraServer {
     /// here.
     pub fn dispatch_counts(&self) -> (u64, u64) {
         (self.reads_dispatched, self.writes_dispatched)
-    }
-
-    /// Starts recording per-request service times (drains any prior trace).
-    ///
-    /// Deprecated back-compat shim: new measurement consumers should read
-    /// the obs registry instead ([`MoiraServer::obs`] — the
-    /// `server.latency.*` histograms carry the same service times with
-    /// quantile estimation and no per-request allocation). Kept for the
-    /// trace-driven projections in the bench harness.
-    pub fn enable_service_trace(&mut self) {
-        self.service_trace = Some(Vec::new());
-    }
-
-    /// Takes the recorded service samples, leaving tracing enabled.
-    ///
-    /// Deprecated back-compat shim — see [`MoiraServer::enable_service_trace`].
-    pub fn take_service_trace(&mut self) -> Vec<ServiceSample> {
-        match self.service_trace.as_mut() {
-            Some(t) => std::mem::take(t),
-            None => Vec::new(),
-        }
     }
 
     /// Attaches an already-connected channel (the in-process transport),
@@ -410,9 +362,10 @@ impl MoiraServer {
         }
     }
 
-    /// Classifies one ready frame. `tiered` is false in the single-lock
-    /// baseline, where everything that touches state takes the serial tier.
-    fn classify(&self, conn: usize, frame: bytes::Bytes, tiered: bool) -> TaskSlot {
+    /// Classifies one ready frame. `serial` is set once an earlier frame of
+    /// the same connection took the write tier: everything after it stays
+    /// there, in arrival order.
+    fn classify(&self, conn: usize, frame: bytes::Bytes, serial: bool) -> TaskSlot {
         let caller = self.connections[conn].caller.clone();
         let work = (|| {
             let request = match Request::decode(frame) {
@@ -426,7 +379,7 @@ impl MoiraServer {
                 MajorRequest::Noop => Work::Done(vec![Reply::status(0)]),
                 MajorRequest::Auth | MajorRequest::TriggerDcm => Work::Write(request),
                 MajorRequest::Access | MajorRequest::Query => {
-                    if !tiered {
+                    if serial {
                         return Work::Write(request);
                     }
                     let args = match request.string_args() {
@@ -516,13 +469,13 @@ impl MoiraServer {
     }
 
     /// One pass of the loop, blocking in the reactor wait for up to
-    /// `timeout` (`None` = until an event or a [`Waker`]): collect
-    /// readiness events, flush writable outboxes, accept connections,
-    /// drain and classify ready frames, dispatch the read tier
-    /// concurrently and the write tier serially, send replies in
-    /// per-connection FIFO order, then re-sync reactor interest
-    /// (write interest while output is queued, read interest withdrawn
-    /// under backpressure). Returns how many requests were received.
+    /// `timeout` (`None` = until an event or a [`Waker`]). After the wait
+    /// the pass runs five phases in order: collect readiness (flush
+    /// writable outboxes, accept connections), drain and classify ready
+    /// frames, the read tier, the write tier, then send replies in
+    /// per-connection FIFO order and re-sync reactor interest (write
+    /// interest while output is queued, read interest withdrawn under
+    /// backpressure). Returns how many requests were received.
     pub fn poll_with_timeout(&mut self, timeout: Option<Duration>) -> usize {
         // Sources outside the reactor force a clamped wait: connections
         // without (registered) fds must be scanned, a selector-less
@@ -543,19 +496,39 @@ impl MoiraServer {
         // moira-lint's reactor-discipline pass enforces that.
         let ready = self.reactor.wait(wait_timeout);
         let ready_at = Instant::now();
-        let tiered = self.read_workers > 0;
 
-        let mut dead: Vec<usize> = Vec::new();
-        // Connections whose interest must be re-synced after this pass.
-        let mut touched: Vec<usize> = Vec::new();
+        let mut pass = PassBook::default();
+        let read_idxs = self.collect(&ready, scan_mode, &mut pass);
+        let (mut tasks, received) = self.drain_and_classify(read_idxs, &mut pass);
+        self.read_tier(&mut tasks, ready_at);
+        self.write_tier(&mut tasks, ready_at);
+        self.send_and_resync(&tasks, pass);
 
+        // Selector-less pacing: with no OS wait to block in, an empty scan
+        // honors the caller's timeout with a bounded sleep instead of
+        // spinning.
+        if !self.reactor.has_poller() && received == 0 {
+            if let Some(t) = timeout {
+                if !t.is_zero() {
+                    // No OS wait exists on this degraded path; a bounded
+                    // pace beats spinning. lint:allow(reactor-discipline)
+                    std::thread::sleep(t.min(SCAN_TICK));
+                }
+            }
+        }
+        received
+    }
+
+    /// Phase 1, collect: retire queued output on writable connections,
+    /// accept on listener readiness, and return the connections to read.
+    fn collect(&mut self, ready: &ReadySet, scan_mode: bool, pass: &mut PassBook) -> Vec<usize> {
         // Retire queued output first: flushing frees the peer to make
         // progress and can lift backpressure before new frames are read.
         for key in &ready.writable {
             if let Some(&idx) = self.key_map.get(key) {
-                touched.push(idx);
+                pass.touched.push(idx);
                 if self.connections[idx].chan.flush().is_err() {
-                    dead.push(idx);
+                    pass.dead.push(idx);
                 }
             }
         }
@@ -569,8 +542,7 @@ impl MoiraServer {
 
         // The readable set: ready keys plus fresh accepts (whose first
         // frames may have arrived before registration), or every
-        // connection when scanning. Paused connections are excluded — not
-        // reading them *is* the backpressure.
+        // connection when scanning.
         let mut read_idxs: Vec<usize> = if scan_mode {
             (0..self.connections.len()).collect()
         } else {
@@ -584,15 +556,25 @@ impl MoiraServer {
         };
         read_idxs.sort_unstable();
         read_idxs.dedup();
+        read_idxs
+    }
 
-        // Drain every ready frame, preserving per-connection order.
+    /// Phase 2, drain and classify: every ready frame of every readable
+    /// connection, in per-connection arrival order. Paused connections are
+    /// skipped — not reading them *is* the backpressure. Returns the
+    /// classified slots and how many frames arrived.
+    fn drain_and_classify(
+        &mut self,
+        read_idxs: Vec<usize>,
+        pass: &mut PassBook,
+    ) -> (Vec<TaskSlot>, usize) {
         let mut tasks: Vec<TaskSlot> = Vec::new();
         let mut received = 0usize;
         for conn in read_idxs {
             if self.connections[conn].paused {
                 continue;
             }
-            touched.push(conn);
+            pass.touched.push(conn);
             // A connection's frames join the read tier only up to its first
             // serial request; everything after stays in arrival order on the
             // write tier so later reads observe earlier writes.
@@ -602,12 +584,12 @@ impl MoiraServer {
                     Ok(Some(frame)) => frame,
                     Ok(None) => {
                         if self.connections[conn].chan.is_closed() {
-                            dead.push(conn);
+                            pass.dead.push(conn);
                         }
                         break;
                     }
                     Err(_) => {
-                        dead.push(conn);
+                        pass.dead.push(conn);
                         break;
                     }
                 };
@@ -615,247 +597,164 @@ impl MoiraServer {
                 if self.overload_limit.is_some_and(|limit| received > limit) {
                     // Shed rather than queue: the client hears Busy now
                     // instead of timing out later.
-                    self.shed_requests += 1;
-                    self.obs_sheds.inc();
                     tasks.push(TaskSlot {
                         conn,
-                        work: Work::Done(vec![Reply::status(MrError::Busy.code())]),
+                        work: self.shed(),
                         caller: Caller::anonymous("shed"),
                     });
                     continue;
                 }
-                let slot = self.classify(conn, frame, tiered && !serial_from_here);
+                let slot = self.classify(conn, frame, serial_from_here);
                 if matches!(slot.work, Work::Write(_)) {
                     serial_from_here = true;
                 }
                 tasks.push(slot);
             }
         }
+        (tasks, received)
+    }
 
-        // Phase A: the shared tier. All `Read` slots run under read guards,
-        // concurrently when more than one worker is configured.
-        let read_ids: Vec<usize> = tasks
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| matches!(t.work, Work::Read { .. }))
-            .map(|(i, _)| i)
-            .collect();
-        if !read_ids.is_empty() {
-            let registry = self.registry.clone();
-            let state = self.state.clone();
-            let patience = self.lock_patience;
-            // Service times are clocked when either consumer wants them:
-            // the legacy trace or the obs latency histograms.
-            let trace_on = self.service_trace.is_some() || self.obs.enabled();
-            // Readiness→dispatch wait for this tier's batch: how long
-            // after the OS said "ready" the work actually starts.
-            let wait_ns = if trace_on {
-                ready_at.elapsed().as_nanos() as u64
-            } else {
-                0
+    /// Counts one request shed with `MR_BUSY` and returns its answer.
+    fn shed(&mut self) -> Work {
+        self.shed_requests += 1;
+        self.obs_sheds.inc();
+        Work::Done(vec![Reply::status(MrError::Busy.code())])
+    }
+
+    /// Phase 3, the read tier: every `Read` slot runs inline under one
+    /// shared guard. A handler that panics is answered `MR_BUSY` and
+    /// counted as a shed instead of taking the daemon down.
+    fn read_tier(&mut self, tasks: &mut [TaskSlot], ready_at: Instant) {
+        if !tasks.iter().any(|t| matches!(t.work, Work::Read { .. })) {
+            return;
+        }
+        let state = self.state.clone();
+        let Some(guard) = Self::read_or_busy(&state, self.lock_patience) else {
+            for task in tasks.iter_mut() {
+                if matches!(task.work, Work::Read { .. }) {
+                    task.work = self.shed();
+                }
+            }
+            return;
+        };
+        let timed = self.obs.enabled();
+        // Readiness→dispatch wait for this tier's batch: how long after
+        // the OS said "ready" the work actually starts.
+        let wait_ns = if timed {
+            ready_at.elapsed().as_nanos() as u64
+        } else {
+            0
+        };
+        for task in tasks.iter_mut() {
+            let Work::Read { access, args } = &task.work else {
+                continue;
             };
-            let workers = self.read_workers.max(1).min(read_ids.len());
-            let mut outcomes: Vec<ReadOutcome> = Vec::with_capacity(read_ids.len());
-            if workers <= 1 {
-                match Self::read_or_busy(&state, patience) {
-                    Some(guard) => {
-                        for &id in &read_ids {
-                            let TaskSlot { caller, work, .. } = &tasks[id];
-                            let Work::Read { access, args } = work else {
-                                unreachable!()
-                            };
-                            let t0 = trace_on.then(Instant::now);
-                            let replies = Self::run_read(&registry, &guard, caller, *access, args);
-                            let nanos = t0.map(|t| t.elapsed().as_nanos() as u64).unwrap_or(0);
-                            outcomes.push((id, replies, Some(nanos)));
-                        }
-                    }
-                    None => {
-                        for &id in &read_ids {
-                            outcomes.push((id, vec![Reply::status(MrError::Busy.code())], None));
-                        }
-                    }
-                }
-            } else {
-                // Round-robin the read slots over the worker pool; each
-                // worker holds one shared guard for its whole chunk.
-                let chunks: Vec<Vec<usize>> = (0..workers)
-                    .map(|w| read_ids.iter().copied().skip(w).step_by(workers).collect())
-                    .collect();
-                let tasks_ref = &tasks;
-                let results: Vec<Vec<ReadOutcome>> = std::thread::scope(|scope| {
-                    let handles: Vec<_> = chunks
-                        .into_iter()
-                        .map(|chunk| {
-                            let registry = registry.clone();
-                            let state = state.clone();
-                            let ids = chunk.clone();
-                            let handle = scope.spawn(move || {
-                                let mut out = Vec::with_capacity(chunk.len());
-                                let guard = Self::read_or_busy(&state, patience);
-                                for id in chunk {
-                                    let TaskSlot { caller, work, .. } = &tasks_ref[id];
-                                    let Work::Read { access, args } = work else {
-                                        unreachable!()
-                                    };
-                                    match &guard {
-                                        Some(g) => {
-                                            let t0 = trace_on.then(Instant::now);
-                                            let replies =
-                                                Self::run_read(&registry, g, caller, *access, args);
-                                            let nanos = t0
-                                                .map(|t| t.elapsed().as_nanos() as u64)
-                                                .unwrap_or(0);
-                                            out.push((id, replies, Some(nanos)));
-                                        }
-                                        None => out.push((
-                                            id,
-                                            vec![Reply::status(MrError::Busy.code())],
-                                            None,
-                                        )),
-                                    }
-                                }
-                                out
-                            });
-                            (ids, handle)
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|(ids, h)| {
-                            // A worker that panicked sheds its chunk as
-                            // Busy rather than taking the daemon down.
-                            h.join().unwrap_or_else(|_| {
-                                ids.into_iter()
-                                    .map(|id| (id, vec![Reply::status(MrError::Busy.code())], None))
-                                    .collect()
-                            })
-                        })
-                        .collect()
-                });
-                for worker_out in results {
-                    outcomes.extend(worker_out);
-                }
-            }
-            for (id, replies, nanos) in outcomes {
-                match nanos {
-                    Some(nanos) => {
-                        // Executed under a shared guard: count it, and trace
-                        // it if the bench harness asked for samples. Sheds
-                        // are excluded from both so the service-time
-                        // distribution only reflects real executions.
-                        self.reads_dispatched += 1;
-                        self.obs_reads.inc();
-                        self.obs_read_latency.record(nanos);
+            let t0 = timed.then(Instant::now);
+            let run = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                Self::run_read(&self.registry, &guard, &task.caller, *access, args)
+            }));
+            task.work = match run {
+                Ok(replies) => {
+                    // Sheds are excluded from the dispatch count and the
+                    // latency samples: both reflect real executions only.
+                    self.reads_dispatched += 1;
+                    self.obs_reads.inc();
+                    if let Some(t0) = t0 {
+                        self.obs_read_latency.record(t0.elapsed().as_nanos() as u64);
                         self.obs_ready_latency.record(wait_ns);
-                        if let Some(trace) = self.service_trace.as_mut() {
-                            trace.push(ServiceSample {
-                                read_tier: true,
-                                nanos,
-                            });
-                        }
                     }
-                    None => {
-                        self.shed_requests += 1;
-                        self.obs_sheds.inc();
-                    }
+                    Work::Done(replies)
                 }
-                tasks[id].work = Work::Done(replies);
-            }
+                Err(_) => self.shed(),
+            };
         }
+    }
 
-        // Phase B: the exclusive tier, in arrival order under one guard.
-        let write_ids: Vec<usize> = tasks
+    /// Phase 4, the write tier: every `Write` slot in arrival order under
+    /// one exclusive guard, then the group-commit flush.
+    fn write_tier(&mut self, tasks: &mut [TaskSlot], ready_at: Instant) {
+        let writes = tasks
             .iter()
-            .enumerate()
-            .filter(|(_, t)| matches!(t.work, Work::Write(_)))
-            .map(|(i, _)| i)
-            .collect();
-        if !write_ids.is_empty() {
-            let state = self.state.clone();
-            let guard_opt = Self::write_or_busy(&state, self.lock_patience);
-            match guard_opt {
-                Some(mut guard) => {
-                    self.writes_dispatched += write_ids.len() as u64;
-                    self.obs_writes.add(write_ids.len() as u64);
-                    let trace_on = self.service_trace.is_some() || self.obs.enabled();
-                    let wait_ns = if trace_on {
-                        ready_at.elapsed().as_nanos() as u64
-                    } else {
-                        0
-                    };
-                    for id in write_ids {
-                        let TaskSlot { conn, work, .. } = &tasks[id];
-                        let Work::Write(request) = work else {
-                            unreachable!()
-                        };
-                        // Resolve the caller from the connection *now*, not
-                        // from the classify-time snapshot: the tier runs in
-                        // arrival order, so an `Auth` earlier in this batch
-                        // has already installed the new principal by the
-                        // time a request pipelined behind it executes.
-                        let caller = self.connections[*conn].caller.clone();
-                        let t0 = trace_on.then(Instant::now);
-                        let replies = match request.major {
-                            MajorRequest::Auth => {
-                                vec![self.handle_auth(*conn, request, &mut guard)]
-                            }
-                            MajorRequest::TriggerDcm => {
-                                vec![Self::handle_trigger_dcm(&caller, &mut guard)]
-                            }
-                            MajorRequest::Query => {
-                                Self::handle_query(&self.registry, &caller, request, &mut guard)
-                            }
-                            MajorRequest::Access => {
-                                vec![Self::handle_access(
-                                    &self.registry,
-                                    &caller,
-                                    request,
-                                    &guard,
-                                )]
-                            }
-                            MajorRequest::Noop => vec![Reply::status(0)],
-                        };
-                        if let Some(t0) = t0 {
-                            let nanos = t0.elapsed().as_nanos() as u64;
-                            self.obs_write_latency.record(nanos);
-                            self.obs_ready_latency.record(wait_ns);
-                            if let Some(trace) = self.service_trace.as_mut() {
-                                trace.push(ServiceSample {
-                                    read_tier: false,
-                                    nanos,
-                                });
-                            }
-                        }
-                        tasks[id].work = Work::Done(replies);
-                    }
-                    // Group commit: one fsync (at most — the flush interval
-                    // can defer it) covers every mutation in this batch,
-                    // and it happens before any reply below is sent, so an
-                    // acknowledged commit is as durable as the configured
-                    // policy promises. A failed flush is counted, not
-                    // fatal: the WAL append already carried the error to
-                    // the owning request if the media is truly dead.
-                    let now = guard.db.now();
-                    if guard.storage.maybe_flush(now).is_err() {
-                        guard.obs.counter("db.wal.flush_errors").inc();
-                    }
-                }
-                None => {
-                    self.shed_requests += write_ids.len() as u64;
-                    self.obs_sheds.add(write_ids.len() as u64);
-                    for id in write_ids {
-                        tasks[id].work = Work::Done(vec![Reply::status(MrError::Busy.code())]);
-                    }
+            .filter(|t| matches!(t.work, Work::Write(_)))
+            .count() as u64;
+        if writes == 0 {
+            return;
+        }
+        let state = self.state.clone();
+        let Some(mut guard) = Self::write_or_busy(&state, self.lock_patience) else {
+            for task in tasks.iter_mut() {
+                if matches!(task.work, Work::Write(_)) {
+                    task.work = self.shed();
                 }
             }
+            return;
+        };
+        self.writes_dispatched += writes;
+        self.obs_writes.add(writes);
+        let timed = self.obs.enabled();
+        let wait_ns = if timed {
+            ready_at.elapsed().as_nanos() as u64
+        } else {
+            0
+        };
+        for task in tasks.iter_mut() {
+            let Work::Write(request) = &task.work else {
+                continue;
+            };
+            let conn = task.conn;
+            // Resolve the caller from the connection *now*, not from the
+            // classify-time snapshot: the tier runs in arrival order, so an
+            // `Auth` earlier in this batch has already installed the new
+            // principal by the time a request pipelined behind it executes.
+            let caller = self.connections[conn].caller.clone();
+            let t0 = timed.then(Instant::now);
+            let replies = match request.major {
+                MajorRequest::Auth => vec![self.handle_auth(conn, request, &mut guard)],
+                MajorRequest::TriggerDcm => vec![Self::handle_trigger_dcm(&caller, &mut guard)],
+                MajorRequest::Query => {
+                    Self::handle_query(&self.registry, &caller, request, &mut guard)
+                }
+                MajorRequest::Access => {
+                    vec![Self::handle_access(
+                        &self.registry,
+                        &caller,
+                        request,
+                        &guard,
+                    )]
+                }
+                MajorRequest::Noop => vec![Reply::status(0)],
+            };
+            if let Some(t0) = t0 {
+                self.obs_write_latency
+                    .record(t0.elapsed().as_nanos() as u64);
+                self.obs_ready_latency.record(wait_ns);
+            }
+            task.work = Work::Done(replies);
         }
+        // Group commit: one fsync (at most — the flush interval can defer
+        // it) covers every mutation in this batch, and it happens before
+        // any reply is sent, so an acknowledged commit is as durable as the
+        // configured policy promises. A failed flush is counted, not fatal:
+        // the WAL append already carried the error to the owning request if
+        // the media is truly dead.
+        let now = guard.db.now();
+        if guard.storage.maybe_flush(now).is_err() {
+            guard.obs.counter("db.wal.flush_errors").inc();
+        }
+    }
 
-        // Send replies in per-connection FIFO order (tasks are already in
-        // drain order, which is per-connection FIFO). `send` queues into
-        // the connection's outbox and flushes opportunistically — a slow
-        // peer cannot stall this loop.
-        for task in &tasks {
+    /// Phase 5, send and re-sync: queue every reply in per-connection FIFO
+    /// order, re-sync reactor interest for the connections this pass
+    /// touched, and tear down dead connections.
+    fn send_and_resync(&mut self, tasks: &[TaskSlot], pass: PassBook) {
+        let PassBook {
+            mut dead,
+            mut touched,
+        } = pass;
+        // Tasks are already in drain order, which is per-connection FIFO.
+        // `send` queues into the connection's outbox and flushes
+        // opportunistically — a slow peer cannot stall this loop.
+        for task in tasks {
             let Work::Done(replies) = &task.work else {
                 unreachable!("all work resolved by the tiers")
             };
@@ -868,8 +767,7 @@ impl MoiraServer {
             }
         }
 
-        // Re-sync reactor interest for every connection this pass touched:
-        // write interest while the OS would not take the whole outbox, and
+        // Write interest while the OS would not take the whole outbox, and
         // the backpressure pause/resume transitions. Paused connections
         // always get a resume check — their peers may have drained without
         // producing any event (in-process queues, or replies retired by an
@@ -909,20 +807,6 @@ impl MoiraServer {
                 .collect();
             self.obs_conn_open.set(self.connections.len() as i64);
         }
-
-        // Selector-less pacing: with no OS wait to block in, an empty scan
-        // honors the caller's timeout with a bounded sleep instead of
-        // spinning.
-        if !self.reactor.has_poller() && received == 0 {
-            if let Some(t) = timeout {
-                if !t.is_zero() {
-                    // No OS wait exists on this degraded path; a bounded
-                    // pace beats spinning. lint:allow(reactor-discipline)
-                    std::thread::sleep(t.min(SCAN_TICK));
-                }
-            }
-        }
-        received
     }
 
     /// Applies one connection's post-pass interest transitions: engage or
@@ -1507,34 +1391,9 @@ mod tests {
     }
 
     #[test]
-    fn serialized_baseline_still_answers_queries() {
-        let (mut server, mut client) = setup();
-        server.set_read_workers(0);
-        send_request(
-            &mut client,
-            &mut server,
-            Request::new(MajorRequest::Auth, &["ops", "test"]),
-        );
-        send_request(
-            &mut client,
-            &mut server,
-            Request::new(MajorRequest::Query, &["add_machine", "BASE", "VAX"]),
-        );
-        let replies = send_request(
-            &mut client,
-            &mut server,
-            Request::new(MajorRequest::Query, &["get_machine", "BASE"]),
-        );
-        assert!(replies[0].is_more_data());
-        assert_eq!(replies.last().unwrap().code, 0);
-        let (reads, _) = server.dispatch_counts();
-        assert_eq!(reads, 0, "baseline never uses the shared tier");
-    }
-
-    #[test]
     fn concurrent_readers_on_worker_pool() {
-        // Four connections each send a retrieve; with a multi-worker read
-        // tier all four dispatch in one pass and answer correctly.
+        // Four connections each send a retrieve; all four dispatch on the
+        // read tier in one pass and answer correctly.
         let (mut server, state, _) = standard_server(moira_common::VClock::new());
         {
             let mut s = state.write();
@@ -1542,7 +1401,6 @@ mod tests {
             s.db.append("members", vec![2.into(), "USER".into(), uid.into()])
                 .unwrap();
         }
-        server.set_read_workers(4);
         let mut clients = Vec::new();
         for _ in 0..4 {
             let (client, server_end) = pair();
@@ -1575,8 +1433,8 @@ mod tests {
             let done = Reply::decode(recv_blocking(c, 100).unwrap()).unwrap();
             assert_eq!(done.code, 0);
         }
-        // The obs snapshot carries what the service trace used to: all four
-        // dispatches landed on the read tier and were individually timed.
+        // The obs snapshot shows all four dispatches landed on the read
+        // tier and were individually timed.
         let obs_after = server.obs().snapshot();
         assert_eq!(
             obs_after.counter("server.reads_dispatched")
@@ -1600,40 +1458,62 @@ mod tests {
         );
     }
 
+    fn panicking_read(
+        _: &MoiraState,
+        _: &Caller,
+        _: &[String],
+    ) -> moira_common::errors::MrResult<Vec<Vec<String>>> {
+        panic!("read handler bug")
+    }
+
     #[test]
-    fn service_trace_shim_back_compat() {
-        // The deprecated enable/take shim still yields per-request samples
-        // (the bench harness's trace-driven projections depend on it), even
-        // with the obs registry disabled.
-        let (mut server, mut client) = setup();
-        server.obs().set_enabled(false);
-        server.enable_service_trace();
-        send_request(
+    fn panicking_read_handler_sheds_busy_and_server_survives() {
+        use crate::registry::{AccessRule, Handler, QueryHandle, QueryKind};
+        let mut registry = Registry::standard();
+        registry.register(QueryHandle {
+            name: "panic_read",
+            shortname: "pnrd",
+            kind: QueryKind::Retrieve,
+            access: AccessRule::Public,
+            args: &[],
+            returns: &[],
+            handler: Handler::Read(panicking_read),
+        });
+        let registry = Arc::new(registry);
+        let mut state = MoiraState::new(moira_common::VClock::new());
+        crate::seed::seed_capacls(&mut state, &registry);
+        let mut server = MoiraServer::new(shared(state), registry, None);
+        let (mut client, server_end) = pair();
+        server.attach(Box::new(server_end), "local", 0);
+
+        // A single read in its pass: the panic is contained and answered
+        // with the retryable Busy status, counted as a shed.
+        let replies = send_request(
             &mut client,
             &mut server,
-            Request::new(MajorRequest::Auth, &["ops", "test"]),
+            Request::new(MajorRequest::Query, &["panic_read"]),
         );
-        send_request(
+        assert_eq!(replies.len(), 1);
+        assert_eq!(replies[0].code, MrError::Busy.code());
+        assert_eq!(server.shed_requests(), 1);
+        assert_eq!(server.obs().snapshot().counter("server.shed_requests"), 1);
+        assert_eq!(
+            server.dispatch_counts(),
+            (0, 0),
+            "a panic is not a dispatch"
+        );
+
+        // The same server answers the next request normally.
+        let replies = send_request(
             &mut client,
             &mut server,
-            Request::new(MajorRequest::Query, &["add_machine", "SHIM", "VAX"]),
+            Request::new(MajorRequest::Query, &["_list_queries"]),
         );
-        send_request(
-            &mut client,
-            &mut server,
-            Request::new(MajorRequest::Query, &["get_machine", "SHIM"]),
-        );
-        let trace = server.take_service_trace();
-        assert_eq!(trace.len(), 3, "auth + write + read all sampled");
-        assert_eq!(trace.iter().filter(|s| s.read_tier).count(), 1);
-        // Taking drains but leaves tracing on.
-        assert!(server.take_service_trace().is_empty());
-        send_request(
-            &mut client,
-            &mut server,
-            Request::new(MajorRequest::Query, &["get_machine", "SHIM"]),
-        );
-        assert_eq!(server.take_service_trace().len(), 1);
+        assert!(replies.len() > 1);
+        assert!(replies[0].is_more_data());
+        assert_eq!(replies.last().unwrap().code, 0);
+        assert_eq!(server.dispatch_counts(), (1, 0));
+        assert_eq!(server.shed_requests(), 1);
     }
 
     #[test]

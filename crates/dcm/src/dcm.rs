@@ -15,8 +15,9 @@
 //! — see [`crate::relay`]. Each leg is three phases: *prepare* (locks, DB
 //! writes, archive, credentials — serial), *transfer* (network only — on
 //! the pool), *record* (stats, cursor, retry ledger, DB — serial, in todo
-//! order). With width 1 and no racks the composition is exactly the
-//! legacy serial scan.
+//! order). Width 1 is the same pool with one worker: it visits hosts in
+//! todo order and stops a replicated service at its first hard failure,
+//! which is the paper's serial scan.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -38,9 +39,7 @@ use crate::host::SimHost;
 use crate::net::{Network, PerfectNetwork};
 use crate::relay::{CursorStore, RackTopology};
 use crate::retry::{RetryBook, RetryPolicy, SoftOutcome};
-use crate::update::{
-    run_update_instrumented, Script, TransferStats, UpdateCredentials, UpdateError,
-};
+use crate::update::{run_update, Script, TransferStats, UpdateCredentials, UpdateError};
 
 /// A notification emitted on hard failures — "a zephyr message is sent to
 /// class MOIRA instance DCM", and for host failures "a zephyrgram and mail
@@ -137,7 +136,7 @@ pub struct Dcm {
     net: Arc<dyn Network>,
     /// Soft-failure streak ledger driving the backoff gate.
     retry: RetryBook,
-    /// Bounded concurrency of the host fan-out (1 = legacy serial scan).
+    /// Bounded concurrency of the host fan-out (pool workers).
     fanout_width: usize,
     /// Rack grouping driving relay election (empty = every host direct).
     topology: RackTopology,
@@ -187,7 +186,7 @@ impl Dcm {
     }
 
     /// Sets the bounded concurrency of the host fan-out (clamped to ≥ 1).
-    /// Width 1 with no racks is exactly the legacy serial scan.
+    /// Width 1 runs one pool worker, which updates hosts one at a time.
     pub fn set_fanout_width(&mut self, width: usize) {
         self.fanout_width = width.max(1);
     }
@@ -500,27 +499,7 @@ impl Dcm {
             .prepared
             .get(&svc.name)
             .map(|b| Arc::new(b.archive().clone()));
-        if self.fanout_width <= 1 && self.topology.is_empty() {
-            // The legacy serial scan: one host at a time, in todo order,
-            // stopping at the first hard failure of a replicated service.
-            let mut replicated_failed = false;
-            for (mach_name, mach_id, value3) in todo {
-                if replicated_failed {
-                    break;
-                }
-                let result =
-                    self.update_one_host(svc, dfgen, &mach_name, mach_id, &value3, shared.as_ref());
-                if let Err(e) = &result {
-                    if e.is_hard() && svc.replicated {
-                        replicated_failed = true;
-                        self.mark_replicated_failed(svc, dfgen, e);
-                    }
-                }
-                report.updates.push((svc.name.clone(), mach_name, result));
-            }
-        } else {
-            self.fanout_phase(svc, dfgen, &todo, shared.as_ref(), report);
-        }
+        self.fanout_phase(svc, dfgen, &todo, shared.as_ref(), report);
         let mut state = self.state.write();
         state.locks.release("dcm", &format!("svc:{}", svc.name));
     }
@@ -584,45 +563,6 @@ impl Dcm {
             out.push((name, mach_id, t.cell(row, "value3").render()));
         }
         out
-    }
-
-    /// One host's update, serially: prepare, transfer, record. The legacy
-    /// single-host path, kept as the oracle the fan-out must match.
-    fn update_one_host(
-        &mut self,
-        svc: &ServiceInfo,
-        dfgen: i64,
-        mach_name: &str,
-        mach_id: i64,
-        value3: &str,
-        shared: Option<&Arc<Archive>>,
-    ) -> Result<(), UpdateError> {
-        match self.prepare_update(svc, mach_name, mach_id, value3, shared, None) {
-            Prepared::Busy => Err(UpdateError::Busy),
-            Prepared::Failed(e) => self.record_update(
-                svc,
-                dfgen,
-                mach_name,
-                mach_id,
-                None,
-                false,
-                Err(e),
-                &TransferStats::default(),
-            ),
-            Prepared::Job(job) => {
-                let (result, tstats) = run_transfer(self.net.as_ref(), &job);
-                self.record_update(
-                    svc,
-                    dfgen,
-                    &job.mach_name,
-                    mach_id,
-                    Some(&job.archive),
-                    false,
-                    result,
-                    &tstats,
-                )
-            }
-        }
     }
 
     /// The parallel push: plan the rack split, run the origin wave (relays
@@ -797,10 +737,9 @@ impl Dcm {
                 }
                 None => {
                     // The replicated stop flag tripped before any worker
-                    // claimed this leg. Undo the prepare (inprogress bit,
-                    // host lock) and leave the host for the next cycle —
-                    // the legacy serial loop would not have attempted it.
-                    self.abort_prepared(svc, &job.mach_name);
+                    // claimed this leg: undo the prepare and leave the host
+                    // for the next cycle, as if it had never been visited.
+                    self.abort_prepared(svc, &job);
                 }
             }
         }
@@ -814,11 +753,12 @@ impl Dcm {
     }
 
     /// Runs prepared jobs' network legs with bounded concurrency:
-    /// `fanout_width` workers claim jobs off a shared counter. For a
-    /// replicated service the first hard failure raises a stop flag —
-    /// running legs finish, unclaimed jobs stay absent from the result
-    /// map. Pure transfer work: no database or DCM state crosses into the
-    /// pool.
+    /// `fanout_width` workers claim jobs off a shared counter. The calling
+    /// thread is one of them, so width 1 spawns no thread and keeps the
+    /// transfers' allocations on the DCM thread. For a replicated service
+    /// the first hard failure raises a stop flag — running legs finish,
+    /// unclaimed jobs stay absent from the result map. Pure transfer work:
+    /// no database or DCM state crosses into the pool.
     fn run_wave(
         &self,
         jobs: &[(usize, UpdateJob)],
@@ -828,78 +768,53 @@ impl Dcm {
             return HashMap::new();
         }
         let width = self.fanout_width.max(1).min(jobs.len());
-        if width == 1 {
-            // One worker is a serial loop; skip the thread scaffolding.
-            let mut results = HashMap::with_capacity(jobs.len());
-            for (i, job) in jobs {
-                let t0 = Instant::now();
-                let (result, tstats) = run_transfer(self.net.as_ref(), job);
-                let hard = matches!(&result, Err(e) if e.is_hard());
-                results.insert(*i, (result, tstats, t0.elapsed().as_nanos() as u64));
-                if replicated && hard {
-                    break;
-                }
-            }
-            return results;
-        }
         let next = AtomicUsize::new(0);
         let stop = AtomicBool::new(false);
         let results = Mutex::new(HashMap::with_capacity(jobs.len()));
         let net = self.net.as_ref();
-        std::thread::scope(|scope| {
-            for _ in 0..width {
-                scope.spawn(|| loop {
-                    if stop.load(Ordering::Acquire) {
-                        break;
-                    }
-                    let k = next.fetch_add(1, Ordering::Relaxed);
-                    let Some((i, job)) = jobs.get(k) else { break };
-                    let t0 = Instant::now();
-                    let (result, tstats) = run_transfer(net, job);
-                    if replicated && matches!(&result, Err(e) if e.is_hard()) {
-                        stop.store(true, Ordering::Release);
-                    }
-                    results
-                        .lock()
-                        .insert(*i, (result, tstats, t0.elapsed().as_nanos() as u64));
-                });
+        let worker = || loop {
+            if stop.load(Ordering::Acquire) {
+                break;
             }
+            let k = next.fetch_add(1, Ordering::Relaxed);
+            let Some((i, job)) = jobs.get(k) else { break };
+            let t0 = Instant::now();
+            let (result, tstats) = run_transfer(net, job);
+            if replicated && matches!(&result, Err(e) if e.is_hard()) {
+                stop.store(true, Ordering::Release);
+            }
+            results
+                .lock()
+                .insert(*i, (result, tstats, t0.elapsed().as_nanos() as u64));
+        };
+        std::thread::scope(|scope| {
+            for _ in 1..width {
+                scope.spawn(worker);
+            }
+            worker();
         });
         results.into_inner()
     }
 
-    /// Reverses `prepare_update` for a leg that never ran: clears the
-    /// inprogress bit (leaving `lts` at 0, so the host stays in the next
-    /// cycle's todo list with no error recorded) and releases the host
-    /// lock. Matches the legacy serial loop, which simply never prepared
-    /// hosts after a replicated stop.
-    fn abort_prepared(&mut self, svc: &ServiceInfo, mach_name: &str) {
-        let now = self.state.read().now();
+    /// Reverses `prepare_update` for a leg that never ran: writes back the
+    /// server-host row's bookkeeping as it was before the prepare (so the
+    /// host stays in the next cycle's todo list with its old `ltt`/`lts`)
+    /// and releases the host lock. The leg was never attempted, so nothing
+    /// is counted.
+    fn abort_prepared(&mut self, svc: &ServiceInfo, job: &UpdateJob) {
         let mut state = self.state.write();
-        let _ = self.exec(
-            &mut state,
-            "set_server_host_internal",
-            &[
-                svc.name.clone(),
-                mach_name.to_owned(),
-                "0".into(),
-                "0".into(),
-                "0".into(),
-                "0".into(),
-                String::new(),
-                now.to_string(),
-                "0".into(),
-            ],
-        );
+        let mut args = vec![svc.name.clone(), job.mach_name.clone()];
+        args.extend(job.prior.iter().cloned());
+        let _ = self.exec(&mut state, "set_server_host_internal", &args);
         state
             .locks
-            .release("dcm", &format!("host:{}:{}", svc.name, mach_name));
+            .release("dcm", &format!("host:{}:{}", svc.name, job.mach_name));
     }
 
     /// Phase 1 of a leg — everything that must stay serial on the DCM
-    /// thread: the attempt counter, the exclusive host lock and inprogress
-    /// bit, the archive build, and fresh credentials (the authenticator
-    /// nonce is a sequence).
+    /// thread: the exclusive host lock and inprogress bit, the archive
+    /// build, and fresh credentials (the authenticator nonce is a
+    /// sequence).
     fn prepare_update(
         &mut self,
         svc: &ServiceInfo,
@@ -909,10 +824,10 @@ impl Dcm {
         shared: Option<&Arc<Archive>>,
         relay: Option<Arc<Mutex<SimHost>>>,
     ) -> Prepared {
-        self.stats.updates_attempted += 1;
         let now = self.state.read().now();
-        // Exclusive lock on the host + inprogress bit.
-        {
+        // Exclusive lock on the host + inprogress bit, remembering the row's
+        // bookkeeping so a leg that never runs can be undone exactly.
+        let prior = {
             let mut state = self.state.write();
             if state
                 .locks
@@ -926,9 +841,11 @@ impl Dcm {
                 // Another update of this host holds the lock: a distinct
                 // soft conflict, not a network timeout. The colliding pass
                 // simply retries later; no failure streak is charged.
+                self.stats.updates_attempted += 1;
                 self.stats.busy_conflicts += 1;
                 return Prepared::Busy;
             }
+            let prior = host_book(&state, &svc.name, mach_id);
             let _ = self.exec(
                 &mut state,
                 "set_server_host_internal",
@@ -944,7 +861,8 @@ impl Dcm {
                     "0".into(),
                 ],
             );
-        }
+            prior
+        };
 
         // Build the archive: per-host for NFS and PASSWD, shared otherwise.
         // A generator failure here (e.g. colliding member stems) is bad data
@@ -977,6 +895,7 @@ impl Dcm {
                     script,
                     credentials,
                     archive,
+                    prior,
                 }))
             }
             // The host lock stays held: recording the failure releases it,
@@ -986,9 +905,9 @@ impl Dcm {
     }
 
     /// Phase 3 of a leg — everything after the network returns, serial on
-    /// the DCM thread: obs counters, the cursor advance, retry-ledger and
-    /// notice bookkeeping, the final server-host row write, and the host
-    /// lock release.
+    /// the DCM thread: the attempt counter, obs counters, the cursor
+    /// advance, retry-ledger and notice bookkeeping, the final server-host
+    /// row write, and the host lock release.
     #[allow(clippy::too_many_arguments)]
     fn record_update(
         &mut self,
@@ -1001,6 +920,7 @@ impl Dcm {
         result: Result<(), UpdateError>,
         tstats: &TransferStats,
     ) -> Result<(), UpdateError> {
+        self.stats.updates_attempted += 1;
         // Patch-versus-whole byte split (the §5.7 partial-transfer savings)
         // and, when a leg broke, a per-leg retry count: the attempt that
         // follows the failure is charged to the leg that caused it. The
@@ -1170,6 +1090,38 @@ struct UpdateJob {
     relay: Option<Arc<Mutex<SimHost>>>,
     target: String,
     script: Script,
+    /// The server-host row's bookkeeping before the prepare, restored if
+    /// the leg is never claimed.
+    prior: Vec<String>,
+}
+
+/// The server-host bookkeeping columns, in `set_server_host_internal`'s
+/// argument order after the service and machine names.
+const HOST_BOOK: [&str; 7] = [
+    "override",
+    "success",
+    "inprogress",
+    "hosterror",
+    "hosterrmsg",
+    "ltt",
+    "lts",
+];
+
+/// One server-host row's bookkeeping columns, rendered as
+/// `set_server_host_internal` arguments.
+fn host_book(state: &MoiraState, service: &str, mach_id: i64) -> Vec<String> {
+    let rows = state.db.select(
+        "serverhosts",
+        &Pred::Eq("service", service.into()).and(Pred::Eq("mach_id", mach_id.into())),
+    );
+    rows.first()
+        .map(|&r| {
+            HOST_BOOK
+                .iter()
+                .map(|c| state.db.cell("serverhosts", r, c).render())
+                .collect()
+        })
+        .unwrap_or_default()
 }
 
 /// What one fan-out wave reports back to `fanout_phase`.
@@ -1187,7 +1139,13 @@ struct WaveResult {
 /// Phase 2 of a leg — the network. Runs off the DCM thread on the fan-out
 /// pool; touches only the job, the network, and the simulated hosts.
 fn run_transfer(net: &dyn Network, job: &UpdateJob) -> (Result<(), UpdateError>, TransferStats) {
-    let mut tstats = TransferStats::default();
+    let refused = |leg| {
+        let tstats = TransferStats {
+            failed_leg: Some(leg),
+            ..TransferStats::default()
+        };
+        (Err(UpdateError::HostDown), tstats)
+    };
     // A leaf leg first probes its rack relay. A dead relay costs this one
     // check — not a full per-leaf timeout — and is charged to the "relay"
     // leg so the retry ledger and obs can tell the tiers apart. The guard
@@ -1195,32 +1153,23 @@ fn run_transfer(net: &dyn Network, job: &UpdateJob) -> (Result<(), UpdateError>,
     if let Some(relay) = &job.relay {
         let relay_up = relay.lock().reachable();
         if !relay_up {
-            tstats.failed_leg = Some("relay");
-            return (Err(UpdateError::HostDown), tstats);
+            return refused("relay");
         }
     }
-    let outcome = match &job.host {
-        Some(host) => {
-            let mut h = host.lock();
-            run_update_instrumented(
-                net,
-                &mut h,
-                job.credentials.as_ref(),
-                &job.archive,
-                job.prev.as_deref(),
-                &job.target,
-                &job.script,
-                &mut tstats,
-            )
-        }
-        None => {
-            // No such host is a connection failure as far as the retry
-            // ledger is concerned.
-            tstats.failed_leg = Some("connect");
-            Err(UpdateError::HostDown)
-        }
-    };
-    (outcome, tstats)
+    match &job.host {
+        Some(host) => run_update(
+            net,
+            &mut host.lock(),
+            job.credentials.as_ref(),
+            &job.archive,
+            job.prev.as_deref(),
+            &job.target,
+            &job.script,
+        ),
+        // No such host is a connection failure as far as the retry ledger
+        // is concerned.
+        None => refused("connect"),
+    }
 }
 
 /// Where a service's files are installed on its hosts (the `target` is the
@@ -1715,8 +1664,8 @@ mod tests {
         assert!(kiwi.2.is_ok());
     }
 
-    /// Satellite pin: `fanout_width = 1` with zero racks takes literally
-    /// the legacy serial loop — same update order, same outcomes.
+    /// Width 1 with zero racks is the pool with one worker: it updates
+    /// hosts in serverhosts row order, as the paper's serial scan does.
     #[test]
     fn width_one_no_racks_is_the_legacy_serial_path() {
         let (mut dcm, _state, _hosts) = setup();
@@ -1732,8 +1681,8 @@ mod tests {
         assert!(report.updates.iter().all(|(_, _, r)| r.is_ok()));
     }
 
-    /// Satellite pin: the pooled fan-out path (width > 1, no racks) is
-    /// byte-equivalent to the serial oracle across a whole scripted run —
+    /// A wide pool (width 8, no racks) is byte-equivalent to one worker,
+    /// whose order is the serial scan's, across a whole scripted run —
     /// reports, notices (retry/Zephyr escalation included), stats,
     /// serverhosts rows, and host filesystems.
     #[test]
@@ -1824,6 +1773,46 @@ mod tests {
         assert_eq!(serial.2, pooled.2, "whole stats struct");
         assert_eq!(serial.3, pooled.3, "serverhosts rows");
         assert_eq!(serial.4, pooled.4, "host filesystems");
+    }
+
+    /// A replicated service whose first host hard-fails at width 1: the
+    /// second host's leg is prepared but never claimed, so undoing it must
+    /// leave exactly what a serial scan that never visited the host
+    /// leaves — one report entry, one attempt, and the host's row as it
+    /// was. Racks of one host each (both legs in the origin wave) must
+    /// not change that.
+    #[test]
+    fn replicated_stop_leaves_unclaimed_host_untouched() {
+        let mut one_per_rack = RackTopology::new();
+        one_per_rack.add_rack("r0", ["KIWI.MIT.EDU".to_owned()]);
+        one_per_rack.add_rack("r1", ["SUOMI.MIT.EDU".to_owned()]);
+        for topology in [RackTopology::new(), one_per_rack] {
+            let (mut dcm, state, hosts) = setup();
+            dcm.set_fanout_width(1);
+            dcm.set_topology(topology);
+            let suomi_book = |state: &SharedState| {
+                let s = state.read();
+                let mach_id =
+                    s.db.table("machine")
+                        .select_one(&Pred::Eq("name", "SUOMI.MIT.EDU".into()))
+                        .map(|r| s.db.cell("machine", r, "mach_id").as_int())
+                        .unwrap();
+                host_book(&s, "HESIOD", mach_id)
+            };
+            let before = suomi_book(&state);
+            hosts[0].lock().fail.fail_exec_with = Some(13);
+            state.write().db.clock().advance(60);
+            let report = dcm.run_once();
+            assert_eq!(report.updates.len(), 1);
+            assert_eq!(report.updates[0].1, "KIWI.MIT.EDU");
+            assert_eq!(dcm.stats.updates_attempted, 1);
+            let after = suomi_book(&state);
+            // ltt, lts and inprogress, then the rest of the bookkeeping.
+            assert_eq!(after[5..], before[5..], "ltt/lts unchanged");
+            assert_eq!(after[2], before[2], "inprogress unchanged");
+            assert_eq!(after, before);
+            assert!(!dcm.retry_book().is_retry("HESIOD", "SUOMI.MIT.EDU"));
+        }
     }
 
     /// Racked hosts converge through a relay; the cursor store records

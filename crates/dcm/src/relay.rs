@@ -3,7 +3,8 @@
 //!
 //! The paper's DCM walks ~20 server hosts serially; at thousands of
 //! consumer hosts the cycle needs two structural changes. First, update
-//! legs run on a bounded worker pool (`fanout_width`). Second, hosts are
+//! legs run on a bounded worker pool (`fanout_width`; width 1 is one
+//! worker visiting hosts in order, the paper's serial walk). Second, hosts are
 //! grouped into *racks*: the DCM pushes each archive once to a *relay*
 //! host per rack, and only then fans out to that rack's *leaf* hosts —
 //! so a dead rack uplink costs one probe, not one timeout per host.

@@ -30,7 +30,7 @@ use moira_krb::ticket::{Authenticator, Ticket};
 
 use crate::archive::{crc32, Archive, Manifest};
 use crate::host::{HostError, SimHost};
-use crate::net::{Network, PerfectNetwork};
+use crate::net::Network;
 
 /// Suffix for staged files awaiting the atomic swap; stale ones are
 /// "deleted (as it may be incomplete) when the next update starts".
@@ -479,10 +479,10 @@ fn decode_delta(bytes: &[u8]) -> Option<Vec<(String, MemberDelta)>> {
     (pos == bytes.len()).then_some(entries)
 }
 
-/// Byte-level accounting for one update attempt, filled in by
-/// [`run_update_instrumented`]: how much of the transfer rode as line
-/// patches versus whole members, and — on failure — which protocol leg
-/// broke, so the DCM can count retries per leg.
+/// Byte-level accounting for one update attempt, returned by
+/// [`run_update`]: how much of the transfer rode as line patches versus
+/// whole members, and — on failure — which protocol leg broke, so the DCM
+/// can count retries per leg.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TransferStats {
     /// Stale members shipped as line patches against the cached base.
@@ -510,44 +510,18 @@ pub struct UpdateCredentials {
 }
 
 /// Runs one complete update against a host: transfer phase, execution
-/// phase, confirmation. Returns `Ok(())` only when the server confirmed a
-/// successful installation. Unauthenticated convenience wrapper for hosts
-/// without a verifier.
-pub fn run_update(
-    host: &mut SimHost,
-    archive: &Archive,
-    target: &str,
-    script: &Script,
-) -> Result<(), UpdateError> {
-    run_update_with_auth(host, None, archive, target, script)
-}
-
-/// [`run_update`] presenting Kerberos credentials. Hosts with a configured
-/// verifier reject connections whose credentials are absent, forged, or
-/// replayed — "Kerberos is used to verify the identity of both ends at
-/// connection set-up time" (§5.9.2). Runs over a [`PerfectNetwork`].
-pub fn run_update_with_auth(
-    host: &mut SimHost,
-    credentials: Option<&UpdateCredentials>,
-    archive: &Archive,
-    target: &str,
-    script: &Script,
-) -> Result<(), UpdateError> {
-    run_update_over(
-        &PerfectNetwork,
-        host,
-        credentials,
-        archive,
-        None,
-        target,
-        script,
-    )
-}
-
-/// [`run_update_with_auth`] with every connection and transfer leg routed
-/// through a [`Network`], which may partition, drop, or stall any of them.
+/// phase, confirmation. The result is `Ok(())` only when the server
+/// confirmed a successful installation; it comes back with the attempt's
+/// [`TransferStats`].
 ///
-/// The fault surface mirrors a real TCP update connection:
+/// `credentials` are the Kerberos credentials presented at connection
+/// set-up. Hosts with a configured verifier reject connections whose
+/// credentials are absent, forged, or replayed — "Kerberos is used to
+/// verify the identity of both ends at connection set-up time" (§5.9.2).
+///
+/// Every connection and transfer leg is routed through `net`, which may
+/// partition, drop, or stall any of them. The fault surface mirrors a real
+/// TCP update connection:
 ///
 /// - connection set-up can fail (host partitioned away, SYN lost);
 /// - any transfer leg (manifest, stale reply, partial archive, script)
@@ -561,7 +535,7 @@ pub fn run_update_with_auth(
 /// `prev` is the archive the DCM last pushed to this host, if it still
 /// holds one: stale members whose host-side base CRC matches the cached
 /// copy are shipped as line patches against it instead of whole.
-pub fn run_update_over(
+pub fn run_update(
     net: &dyn Network,
     host: &mut SimHost,
     credentials: Option<&UpdateCredentials>,
@@ -569,9 +543,9 @@ pub fn run_update_over(
     prev: Option<&Archive>,
     target: &str,
     script: &Script,
-) -> Result<(), UpdateError> {
+) -> (Result<(), UpdateError>, TransferStats) {
     let mut stats = TransferStats::default();
-    run_update_instrumented(
+    let result = transfer_and_install(
         net,
         host,
         credentials,
@@ -580,13 +554,13 @@ pub fn run_update_over(
         target,
         script,
         &mut stats,
-    )
+    );
+    (result, stats)
 }
 
-/// [`run_update_over`] that additionally fills `stats` with patch/whole
-/// transfer accounting and, on failure, the protocol leg that broke.
+/// The body of [`run_update`], filling `stats` as the legs proceed.
 #[allow(clippy::too_many_arguments)]
-pub fn run_update_instrumented(
+fn transfer_and_install(
     net: &dyn Network,
     host: &mut SimHost,
     credentials: Option<&UpdateCredentials>,
@@ -828,6 +802,18 @@ pub fn execute_on_host(host: &mut SimHost, target: &str) -> Result<i32, HostErro
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::net::PerfectNetwork;
+
+    /// One unauthenticated update over a perfect network with no patch
+    /// base — the shape most of these tests need.
+    fn push(
+        host: &mut SimHost,
+        archive: &Archive,
+        target: &str,
+        script: &Script,
+    ) -> Result<(), UpdateError> {
+        run_update(&PerfectNetwork, host, None, archive, None, target, script).0
+    }
 
     fn sample_archive() -> Archive {
         let mut a = Archive::new();
@@ -863,7 +849,7 @@ mod tests {
     fn successful_update_installs_files() {
         let mut host = SimHost::new("SUOMI.MIT.EDU");
         let a = sample_archive();
-        run_update(&mut host, &a, "/tmp/hesiod.out", &sample_script(&a)).unwrap();
+        push(&mut host, &a, "/tmp/hesiod.out", &sample_script(&a)).unwrap();
         assert_eq!(
             host.read_file("/var/hesiod/passwd.db").unwrap(),
             b"babette:*:6530\n"
@@ -884,8 +870,8 @@ mod tests {
         let mut host = SimHost::new("X");
         let a = sample_archive();
         let s = sample_script(&a);
-        run_update(&mut host, &a, "/tmp/t", &s).unwrap();
-        run_update(&mut host, &a, "/tmp/t", &s).unwrap();
+        push(&mut host, &a, "/tmp/t", &s).unwrap();
+        push(&mut host, &a, "/tmp/t", &s).unwrap();
         assert_eq!(
             host.read_file("/var/hesiod/passwd.db").unwrap(),
             b"babette:*:6530\n"
@@ -898,13 +884,13 @@ mod tests {
         host.up = false;
         let a = sample_archive();
         assert_eq!(
-            run_update(&mut host, &a, "/tmp/t", &sample_script(&a)),
+            push(&mut host, &a, "/tmp/t", &sample_script(&a)),
             Err(UpdateError::HostDown)
         );
         host.reboot();
         host.fail.refuse_connect = true;
         assert_eq!(
-            run_update(&mut host, &a, "/tmp/t", &sample_script(&a)),
+            push(&mut host, &a, "/tmp/t", &sample_script(&a)),
             Err(UpdateError::HostDown)
         );
     }
@@ -915,7 +901,7 @@ mod tests {
         host.fail.corrupt_transfers = true;
         let a = sample_archive();
         assert_eq!(
-            run_update(&mut host, &a, "/tmp/t", &sample_script(&a)),
+            push(&mut host, &a, "/tmp/t", &sample_script(&a)),
             Err(UpdateError::Checksum)
         );
         // Nothing was installed.
@@ -928,7 +914,7 @@ mod tests {
         host.fail.hang = true;
         let a = sample_archive();
         assert_eq!(
-            run_update(&mut host, &a, "/tmp/t", &sample_script(&a)),
+            push(&mut host, &a, "/tmp/t", &sample_script(&a)),
             Err(UpdateError::Timeout)
         );
     }
@@ -938,7 +924,7 @@ mod tests {
         let mut host = SimHost::new("X");
         host.fail.fail_exec_with = Some(9);
         let a = sample_archive();
-        let err = run_update(&mut host, &a, "/tmp/t", &sample_script(&a)).unwrap_err();
+        let err = push(&mut host, &a, "/tmp/t", &sample_script(&a)).unwrap_err();
         assert_eq!(err, UpdateError::ExecFailed(9));
         assert!(err.is_hard());
         assert!(!UpdateError::HostDown.is_hard());
@@ -950,7 +936,7 @@ mod tests {
         let s = sample_script(&a);
         // Install a good old version first.
         let mut host = SimHost::new("X");
-        run_update(&mut host, &a, "/tmp/t", &s).unwrap();
+        push(&mut host, &a, "/tmp/t", &s).unwrap();
         let mut newer = Archive::new();
         newer.add("passwd.db", b"NEW CONTENTS\n".to_vec()).unwrap();
         newer.add("uid.db", b"NEW UID\n".to_vec()).unwrap();
@@ -958,9 +944,9 @@ mod tests {
         // is either the complete old or the complete new version.
         for crash_at in 0..12u64 {
             let mut h = SimHost::new("X");
-            run_update(&mut h, &a, "/tmp/t", &s).unwrap();
+            push(&mut h, &a, "/tmp/t", &s).unwrap();
             h.fail.crash_after_ops = Some(crash_at);
-            let result = run_update(
+            let result = push(
                 &mut h,
                 &newer,
                 "/tmp/t",
@@ -996,11 +982,11 @@ mod tests {
         let s = sample_script(&a);
         let mut host = SimHost::new("X");
         host.fail.crash_after_ops = Some(2);
-        assert!(run_update(&mut host, &a, "/tmp/t", &s).is_err());
+        assert!(push(&mut host, &a, "/tmp/t", &s).is_err());
         // "Updates not received will be retried at a later point until they
         // succeed."
         host.reboot();
-        run_update(&mut host, &a, "/tmp/t", &s).unwrap();
+        push(&mut host, &a, "/tmp/t", &s).unwrap();
         assert_eq!(
             host.read_file("/var/hesiod/passwd.db").unwrap(),
             b"babette:*:6530\n"
@@ -1014,7 +1000,7 @@ mod tests {
         let mut host = SimHost::new("X");
         host.write_file("/var/hesiod/passwd.db.moira_update", b"INCOMPLETE")
             .unwrap();
-        run_update(&mut host, &a, "/tmp/t", &s).unwrap();
+        push(&mut host, &a, "/tmp/t", &s).unwrap();
         assert!(!host
             .file_names()
             .iter()
@@ -1030,11 +1016,11 @@ mod tests {
         let a = sample_archive();
         let s = sample_script(&a);
         let mut host = SimHost::new("X");
-        run_update(&mut host, &a, "/tmp/t", &s).unwrap();
+        push(&mut host, &a, "/tmp/t", &s).unwrap();
         let mut newer = Archive::new();
         newer.add("passwd.db", b"BROKEN\n".to_vec()).unwrap();
         newer.add("uid.db", b"BROKEN\n".to_vec()).unwrap();
-        run_update(
+        push(
             &mut host,
             &newer,
             "/tmp/t",
@@ -1051,7 +1037,7 @@ mod tests {
                 file: "/var/hesiod/passwd.db".into(),
             }],
         };
-        run_update(&mut host, &Archive::new(), "/tmp/t", &revert).unwrap();
+        push(&mut host, &Archive::new(), "/tmp/t", &revert).unwrap();
         assert_eq!(
             host.read_file("/var/hesiod/passwd.db").unwrap(),
             b"babette:*:6530\n"
@@ -1067,7 +1053,7 @@ mod tests {
             }],
         };
         let mut host = SimHost::new("X");
-        run_update(&mut host, &a, "/tmp/t", &s).unwrap();
+        push(&mut host, &a, "/tmp/t", &s).unwrap();
         assert_eq!(host.signals, vec!["/var/run/named.pid"]);
     }
 
@@ -1137,11 +1123,13 @@ mod tests {
         for leg in 0..7u64 {
             let mut host = SimHost::new("X");
             let net = FailLeg::new(leg, NetFault::Dropped);
-            let err = run_update_over(&net, &mut host, None, &a, None, "/tmp/t", &s).unwrap_err();
+            let err = run_update(&net, &mut host, None, &a, None, "/tmp/t", &s)
+                .0
+                .unwrap_err();
             assert!(!err.is_hard(), "leg {leg}: {err:?}");
             // Retry over a healed network always converges to the full
             // install, whatever state the failed attempt left behind.
-            run_update(&mut host, &a, "/tmp/t", &s).unwrap();
+            push(&mut host, &a, "/tmp/t", &s).unwrap();
             assert_eq!(
                 host.read_file("/var/hesiod/passwd.db").unwrap(),
                 b"babette:*:6530\n"
@@ -1158,7 +1146,7 @@ mod tests {
         // Leg 6 is the confirmation; the host has done all the work.
         let net = FailLeg::new(6, NetFault::TimedOut);
         assert_eq!(
-            run_update_over(&net, &mut host, None, &a, None, "/tmp/t", &s),
+            run_update(&net, &mut host, None, &a, None, "/tmp/t", &s).0,
             Err(UpdateError::Timeout)
         );
         assert_eq!(
@@ -1168,7 +1156,7 @@ mod tests {
         );
         // The retried update is harmless ("extra installations are not
         // harmful") and this time confirms.
-        run_update(&mut host, &a, "/tmp/t", &s).unwrap();
+        push(&mut host, &a, "/tmp/t", &s).unwrap();
     }
 
     #[test]
@@ -1179,7 +1167,7 @@ mod tests {
         let mut host = SimHost::new("X");
         let net = FailLeg::new(0, NetFault::Partitioned);
         assert_eq!(
-            run_update_over(&net, &mut host, None, &a, None, "/tmp/t", &s),
+            run_update(&net, &mut host, None, &a, None, "/tmp/t", &s).0,
             Err(UpdateError::HostDown)
         );
         assert!(host.file_names().is_empty(), "nothing reached the host");
@@ -1216,7 +1204,7 @@ mod tests {
         let a = sample_archive();
         let s = sample_script(&a);
         let mut host = SimHost::new("X");
-        run_update(&mut host, &a, "/tmp/t", &s).unwrap();
+        push(&mut host, &a, "/tmp/t", &s).unwrap();
 
         // Change one of the two members.
         let mut b = Archive::new();
@@ -1224,7 +1212,7 @@ mod tests {
             .unwrap();
         b.add("uid.db", b"6530.uid\n".to_vec()).unwrap();
         let net = RecordNet::default();
-        run_update_over(
+        run_update(
             &net,
             &mut host,
             None,
@@ -1233,6 +1221,7 @@ mod tests {
             "/tmp/t",
             &sample_script(&b),
         )
+        .0
         .unwrap();
         let legs = net.legs();
         let expected_partial = encode_delta(&[(
@@ -1249,7 +1238,7 @@ mod tests {
 
         // A third push with nothing changed transfers an empty delta.
         let net = RecordNet::default();
-        run_update_over(
+        run_update(
             &net,
             &mut host,
             None,
@@ -1258,6 +1247,7 @@ mod tests {
             "/tmp/t",
             &sample_script(&b),
         )
+        .0
         .unwrap();
         assert_eq!(
             net.legs()[2],
@@ -1271,11 +1261,13 @@ mod tests {
         let a = sample_archive();
         let s = sample_script(&a);
         let mut host = SimHost::new("X");
-        run_update(&mut host, &a, "/tmp/t", &s).unwrap();
+        push(&mut host, &a, "/tmp/t", &s).unwrap();
         // Someone tampered with the host's copy of the target archive.
         host.write_file("/tmp/t", b"NOT AN ARCHIVE").unwrap();
         let net = RecordNet::default();
-        run_update_over(&net, &mut host, None, &a, Some(&a), "/tmp/t", &s).unwrap();
+        run_update(&net, &mut host, None, &a, Some(&a), "/tmp/t", &s)
+            .0
+            .unwrap();
         let expected: Vec<(String, MemberDelta)> = a
             .iter()
             .map(|(n, d)| (n.to_owned(), MemberDelta::Full(d.to_vec())))
@@ -1295,10 +1287,10 @@ mod tests {
     fn removed_member_disappears_from_target_archive() {
         let a = sample_archive();
         let mut host = SimHost::new("X");
-        run_update(&mut host, &a, "/tmp/t", &sample_script(&a)).unwrap();
+        push(&mut host, &a, "/tmp/t", &sample_script(&a)).unwrap();
         let mut b = Archive::new();
         b.add("passwd.db", b"babette:*:6530\n".to_vec()).unwrap();
-        run_update(&mut host, &b, "/tmp/t", &sample_script(&b)).unwrap();
+        push(&mut host, &b, "/tmp/t", &sample_script(&b)).unwrap();
         // The reconstructed target archive matches the new archive exactly:
         // the dropped member is gone, not resurrected from the base copy.
         let installed = Archive::from_bytes(host.read_file("/tmp/t").unwrap()).unwrap();
@@ -1410,10 +1402,12 @@ mod tests {
         let b = Archive::from_members(vec![("passwd.db".into(), changed.clone())]).unwrap();
         let s = sample_script(&b);
         let mut host = SimHost::new("X");
-        run_update(&mut host, &a, "/tmp/t", &s).unwrap();
+        push(&mut host, &a, "/tmp/t", &s).unwrap();
 
         let net = RecordNet::default();
-        run_update_over(&net, &mut host, None, &b, Some(&a), "/tmp/t", &s).unwrap();
+        run_update(&net, &mut host, None, &b, Some(&a), "/tmp/t", &s)
+            .0
+            .unwrap();
         let member_len = b.get("passwd.db").unwrap().len();
         assert!(
             net.legs()[2] * 10 < member_len,
@@ -1437,7 +1431,7 @@ mod tests {
         let a = sample_archive();
         let s = sample_script(&a);
         let mut host = SimHost::new("X");
-        run_update(&mut host, &a, "/tmp/t", &s).unwrap();
+        push(&mut host, &a, "/tmp/t", &s).unwrap();
 
         let mut b = Archive::new();
         b.add("passwd.db", b"babette:*:6530\nnewbie:*:7000\n".to_vec())
@@ -1449,7 +1443,7 @@ mod tests {
             .unwrap();
         wrong_prev.add("uid.db", b"1.uid\n".to_vec()).unwrap();
         let net = RecordNet::default();
-        run_update_over(
+        run_update(
             &net,
             &mut host,
             None,
@@ -1458,6 +1452,7 @@ mod tests {
             "/tmp/t",
             &sample_script(&b),
         )
+        .0
         .unwrap();
         let expected = encode_delta(&[(
             "passwd.db".to_owned(),
@@ -1485,8 +1480,7 @@ mod tests {
         let b = Archive::from_members(vec![("passwd.db".into(), changed)]).unwrap();
 
         let mut host = SimHost::new("X");
-        let mut first = TransferStats::default();
-        run_update_instrumented(
+        let (result, first) = run_update(
             &PerfectNetwork,
             &mut host,
             None,
@@ -1494,16 +1488,14 @@ mod tests {
             None,
             "/tmp/t",
             &sample_script(&a),
-            &mut first,
-        )
-        .unwrap();
+        );
+        result.unwrap();
         assert_eq!(first.failed_leg, None);
         assert_eq!(first.patch_members, 0);
         assert_eq!(first.full_members, 1);
         assert_eq!(first.full_bytes, a.get("passwd.db").unwrap().len() as u64);
 
-        let mut second = TransferStats::default();
-        run_update_instrumented(
+        let (result, second) = run_update(
             &PerfectNetwork,
             &mut host,
             None,
@@ -1511,9 +1503,8 @@ mod tests {
             Some(&a),
             "/tmp/t",
             &sample_script(&b),
-            &mut second,
-        )
-        .unwrap();
+        );
+        result.unwrap();
         assert_eq!(second.failed_leg, None);
         assert_eq!(second.patch_members, 1);
         assert_eq!(second.full_members, 0);
@@ -1528,8 +1519,7 @@ mod tests {
         // An unreachable host fails on the connect leg.
         let mut downed = SimHost::new("Y");
         downed.up = false;
-        let mut failed = TransferStats::default();
-        let err = run_update_instrumented(
+        let (result, failed) = run_update(
             &PerfectNetwork,
             &mut downed,
             None,
@@ -1537,9 +1527,8 @@ mod tests {
             None,
             "/tmp/t",
             &sample_script(&a),
-            &mut failed,
-        )
-        .unwrap_err();
+        );
+        let err = result.unwrap_err();
         assert_eq!(err, UpdateError::HostDown);
         assert_eq!(failed.failed_leg, Some("connect"));
 
@@ -1547,8 +1536,7 @@ mod tests {
         // script, execute-go, confirm): the failure lands on the execute
         // leg.
         let net = FailLeg::new(5, crate::net::NetFault::TimedOut);
-        let mut mid = TransferStats::default();
-        let err = run_update_instrumented(
+        let (result, mid) = run_update(
             &net,
             &mut SimHost::new("Z"),
             None,
@@ -1556,9 +1544,8 @@ mod tests {
             None,
             "/tmp/t",
             &sample_script(&a),
-            &mut mid,
-        )
-        .unwrap_err();
+        );
+        let err = result.unwrap_err();
         assert_eq!(err, UpdateError::Timeout);
         assert_eq!(mid.failed_leg, Some("execute"));
     }
@@ -1573,7 +1560,7 @@ mod tests {
             }],
         };
         let mut host = SimHost::new("X");
-        let err = run_update(&mut host, &a, "/tmp/t", &bad).unwrap_err();
+        let err = push(&mut host, &a, "/tmp/t", &bad).unwrap_err();
         assert_eq!(err, UpdateError::ExecFailed(203));
     }
 }

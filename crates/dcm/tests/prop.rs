@@ -4,8 +4,8 @@
 
 use moira_dcm::archive::{crc32, Archive};
 use moira_dcm::host::SimHost;
-use moira_dcm::net::{NetFault, Network};
-use moira_dcm::update::{run_update, run_update_over, Script, UpdateError};
+use moira_dcm::net::{NetFault, Network, PerfectNetwork};
+use moira_dcm::update::{run_update, Script, UpdateError};
 use proptest::prelude::*;
 
 fn update_error() -> impl Strategy<Value = UpdateError> {
@@ -73,9 +73,9 @@ proptest! {
         let old_script = Script::standard(&old, "/var/svc", "install");
         let new_script = Script::standard(&new, "/var/svc", "install");
         let mut host = SimHost::new("H");
-        run_update(&mut host, &old, "/tmp/t", &old_script).unwrap();
+        run_update(&PerfectNetwork, &mut host, None, &old, None, "/tmp/t", &old_script).0.unwrap();
         host.fail.crash_after_ops = Some(crash_at);
-        let _ = run_update(&mut host, &new, "/tmp/t", &new_script);
+        let _ = run_update(&PerfectNetwork, &mut host, None, &new, None, "/tmp/t", &new_script).0;
         host.reboot();
         // Invariant: no torn files even right after the crash.
         for i in 0..member_count {
@@ -86,7 +86,7 @@ proptest! {
             prop_assert!(ok, "torn file {path}: {content:?}");
         }
         // Retry converges to fully new.
-        run_update(&mut host, &new, "/tmp/t", &new_script).unwrap();
+        run_update(&PerfectNetwork, &mut host, None, &new, None, "/tmp/t", &new_script).0.unwrap();
         for i in 0..member_count {
             let path = format!("/var/svc/f{i}.db");
             let expected = format!("NEW-{i}-content\n");
@@ -157,12 +157,12 @@ proptest! {
         let script = Script::standard(&archive, "/var/svc", "install");
         let mut host = SimHost::new("H");
         let net = FailNth { fail_at: fail_leg, fault, legs: AtomicU64::new(0) };
-        match run_update_over(&net, &mut host, None, &archive, None, "/tmp/t", &script) {
+        match run_update(&net, &mut host, None, &archive, None, "/tmp/t", &script).0 {
             Ok(()) => {} // leg 7 never fires: only seven legs per update
             Err(e) => prop_assert!(!e.is_hard(), "network fault must be soft: {e:?}"),
         }
         // No torn files even mid-fault, and a fault-free retry converges.
-        run_update(&mut host, &archive, "/tmp/t", &script).unwrap();
+        run_update(&PerfectNetwork, &mut host, None, &archive, None, "/tmp/t", &script).0.unwrap();
         for i in 0..member_count {
             let path = format!("/var/svc/f{i}.db");
             let expected = format!("DATA-{i}\n");

@@ -564,7 +564,8 @@ mod tests {
 
     #[test]
     fn kerberized_hosts_reject_unauthenticated_updates() {
-        use moira_dcm::update::{run_update, run_update_with_auth, Script, UpdateError};
+        use moira_dcm::net::PerfectNetwork;
+        use moira_dcm::update::{run_update, Script, UpdateError};
         let mut d = Deployment::build(&PopulationSpec::small());
         d.run_dcm_once(); // the real, kerberized DCM succeeds
         let host = d.hosts[&d.population.hesiod_servers[0]].clone();
@@ -574,7 +575,16 @@ mod tests {
         {
             let mut h = host.lock();
             assert_eq!(
-                run_update(&mut h, &archive, "/tmp/rogue", &script),
+                run_update(
+                    &PerfectNetwork,
+                    &mut h,
+                    None,
+                    &archive,
+                    None,
+                    "/tmp/rogue",
+                    &script
+                )
+                .0,
                 Err(UpdateError::AuthFailed)
             );
         }
@@ -596,7 +606,16 @@ mod tests {
         {
             let mut h = host.lock();
             assert_eq!(
-                run_update_with_auth(&mut h, Some(&creds), &archive, "/tmp/rogue", &script),
+                run_update(
+                    &PerfectNetwork,
+                    &mut h,
+                    Some(&creds),
+                    &archive,
+                    None,
+                    "/tmp/rogue",
+                    &script
+                )
+                .0,
                 Err(UpdateError::AuthFailed)
             );
             assert!(
