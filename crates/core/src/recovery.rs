@@ -20,7 +20,7 @@
 
 use moira_common::clock::VClock;
 use moira_common::errors::{MrError, MrResult};
-use moira_db::storage::{DurableEngine, GroupCommitConfig, Media, Storage};
+use moira_db::storage::{DurableEngine, GroupCommitConfig, Media};
 use moira_db::wal::WalScan;
 use moira_db::Database;
 
@@ -33,10 +33,11 @@ use crate::state::MoiraState;
 pub struct BootReport {
     /// False on first boot (no prior durable state existed).
     pub recovered: bool,
-    /// Journal entries restored directly from the snapshot document.
-    pub snapshot_entries: usize,
     /// WAL entries replayed on top of the snapshot.
     pub replayed: usize,
+    /// WAL sequence number the boot's own seal covers: every durably
+    /// committed mutation, on media that started empty.
+    pub sealed_seq: u64,
     /// What the WAL scan saw (clean frames, torn-tail truncation).
     pub scan: WalScan,
     /// Epoch of the booted database.
@@ -70,8 +71,7 @@ pub fn boot_durable(
                     let mut db = Database::recovered(clock.clone(), snap.epoch);
                     schema::create_all_tables(&mut db);
                     snap.apply(&mut db)?;
-                    report.snapshot_entries = snap.journal.len();
-                    MoiraState::recovered(db, snap.journal)
+                    MoiraState::recovered(db)
                 }
                 // Degraded path: a WAL with no snapshot (should not happen
                 // — first boot seals one — but bytes on disk outrank
@@ -90,11 +90,13 @@ pub fn boot_durable(
         }
     };
     engine.set_obs(&state.obs);
-    // Seal what we have — on first boot this writes the epoch to disk; on
-    // recovery it compacts the replayed tail into the snapshot.
-    engine.snapshot(&state.db, &state.journal)?;
+    report.sealed_seq = engine.last_seq();
     report.epoch = state.db.epoch();
     state.storage = Box::new(engine);
+    // Seal what we have — on first boot this writes the epoch to disk; on
+    // recovery it compacts the replayed tail into the snapshot, which
+    // empties the journal the replay rebuilt.
+    state.seal_snapshot()?;
     Ok((state, report))
 }
 
@@ -146,15 +148,16 @@ mod tests {
             )
             .expect("mutation");
         let journal_len = state.journal.len();
+        assert_eq!(journal_len, 1, "the boot seal emptied the journal");
         state.storage.flush().expect("flush");
         drop(state);
 
         media.power_cycle();
         let (state, report) = boot(&media, &registry);
         assert!(report.recovered);
-        assert_eq!(report.replayed, 1, "one WAL entry after the seal");
+        assert_eq!(report.replayed, journal_len, "no committed change lost");
         assert_eq!(state.db.epoch(), epoch, "epoch survives restart");
-        assert_eq!(state.journal.len(), journal_len);
+        assert!(state.journal.is_empty(), "the recovery seal is a backup");
         let rows = registry
             .execute_read(&state, &root, "get_machine", &["KIWI.MIT.EDU".into()])
             .expect("machine recovered");

@@ -302,7 +302,7 @@ impl Registry {
                 return Err(e);
             }
             if state.storage.wants_snapshot() {
-                if let Err(_e) = state.storage.snapshot(&state.db, &state.journal) {
+                if let Err(_e) = state.seal_snapshot() {
                     // Non-fatal: the WAL still holds every commit; the
                     // next mutation re-triggers the snapshot.
                     state.obs.counter("db.wal.snapshot_errors").inc();

@@ -6,6 +6,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use moira_common::clock::VClock;
+use moira_common::errors::MrResult;
 use moira_common::lockorder::{order_mode, OrderMode};
 use moira_db::journal::Journal;
 use moira_db::lock::LockManager;
@@ -246,7 +247,8 @@ pub struct ClientInfo {
 pub struct MoiraState {
     /// The database of §6.
     pub db: Database,
-    /// Journal of successful side-effecting queries (§5.2.2).
+    /// Journal of successful side-effecting queries since the newest
+    /// backup (§5.2.2); [`MoiraState::seal_snapshot`] empties it.
     pub journal: Journal,
     /// Service/host lock manager used by the DCM (§5.7.1).
     pub locks: LockManager,
@@ -271,22 +273,25 @@ impl MoiraState {
     pub fn new(clock: VClock) -> MoiraState {
         let mut db = Database::new(clock);
         schema::create_all_tables(&mut db);
-        let mut state = MoiraState::bare(db);
+        let mut state = MoiraState::recovered(db);
         seed::seed(&mut state);
         state
     }
 
-    /// Assembles a state around an already-recovered database and journal
-    /// (schema created, rows imported, epoch preserved). No seeding: the
-    /// snapshot and WAL replay are the only sources of truth.
-    pub fn recovered(db: Database, journal: Journal) -> MoiraState {
-        MoiraState {
-            journal,
-            ..MoiraState::bare(db)
-        }
+    /// Seals a snapshot, then empties the journal: the one path every seal
+    /// takes. A snapshot is a backup, and the journal lists only changes
+    /// since the newest backup (§5.2.2). A failed seal keeps the journal.
+    pub fn seal_snapshot(&mut self) -> MrResult<()> {
+        self.storage.snapshot(&self.db, &self.journal)?;
+        self.journal.clear();
+        Ok(())
     }
 
-    fn bare(mut db: Database) -> MoiraState {
+    /// Assembles an unseeded state with an empty journal around `db`
+    /// (schema created; after a crash, rows imported and epoch preserved).
+    /// [`MoiraState::new`] seeds on top; recovery does not, because the
+    /// snapshot and WAL replay are the only sources of truth.
+    pub fn recovered(mut db: Database) -> MoiraState {
         let obs = moira_obs::Registry::new();
         db.set_obs(&obs);
         MoiraState {

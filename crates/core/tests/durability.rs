@@ -6,9 +6,15 @@
 //! mid-operation, reboots from durable media, re-applies the workload
 //! suffix the crash swallowed, and lands on a state **byte-identical** to
 //! a server that never crashed: same rows, same row slots, same per-row
-//! generation stamps, same tombstones, same free-list order, same
-//! journal. The fingerprint is the full snapshot encoding (epoch line
-//! excluded: each boot draws a distinct epoch by design).
+//! generation stamps, same tombstones, same free-list order. The
+//! fingerprint is the full snapshot encoding (epoch line excluded: each
+//! boot draws a distinct epoch by design). The journal is not part of it:
+//! it holds only the changes since the newest snapshot, and the crashed
+//! run sealed at different points than the oracle.
+//!
+//! A last test holds the journal to that contract: under a workload that
+//! keeps the database size flat, the journal stays below one snapshot
+//! interval and every sealed snapshot has the same size.
 
 use moira_common::clock::{VClock, ATHENA_EPOCH};
 use moira_common::errors::MrError;
@@ -72,7 +78,7 @@ fn apply_from(registry: &Registry, state: &mut MoiraState, clock: &VClock, from:
 /// epoch line (each boot allocates a fresh epoch; everything else must
 /// match byte for byte).
 fn fingerprint(state: &MoiraState) -> String {
-    encode_snapshot(&state.db, &state.journal, 0)
+    encode_snapshot(&state.db, 0)
         .lines()
         .filter(|l| !l.starts_with("epoch:"))
         .collect::<Vec<_>>()
@@ -147,9 +153,10 @@ fn kill_points_converge_byte_identical_to_no_crash_oracle() {
             "{kind:?}#{nth}: epoch must survive recovery"
         );
 
-        // The journal length is exactly the durable commit count; re-apply
-        // the suffix the crash swallowed and demand byte-identity.
-        let committed = recovered.journal.len();
+        // The boot's seal covers exactly the durable commits (one WAL frame
+        // per step on media that started empty); re-apply the suffix the
+        // crash swallowed and demand byte-identity.
+        let committed = report.sealed_seq as usize;
         assert!(
             committed <= STEPS,
             "{kind:?}#{nth}: recovered more than was ever committed"
@@ -197,9 +204,74 @@ fn crash_during_recovery_snapshot_recovers_again() {
     let (mut recovered, report) =
         boot_durable(clock.clone(), &registry, Box::new(media), cfg()).expect("third boot");
     assert!(report.recovered);
-    let committed = recovered.journal.len();
+    let committed = report.sealed_seq as usize;
     assert_eq!(
         apply_from(&registry, &mut recovered, &clock, committed),
         STEPS - committed
+    );
+}
+
+/// The journal lists only the changes since the newest snapshot: with a
+/// flat workload (add/delete machine pairs and shell flips), it never
+/// reaches `snapshot_every` entries, and once the counters the workload
+/// advances have settled into their digit widths every sealed snapshot
+/// has the same byte length.
+#[test]
+fn journal_and_snapshot_stay_bounded_under_a_flat_workload() {
+    const EVERY: usize = 64;
+    const WARMUP: usize = 32;
+    const WINDOWS: usize = 24;
+    let cfg = GroupCommitConfig {
+        flush_interval_secs: 0,
+        flush_bytes: 1,
+        snapshot_every: EVERY as u64,
+    };
+    let registry = Registry::standard();
+    let clock = VClock::new();
+    let media = SimMedia::new();
+    let (mut state, _) =
+        boot_durable(clock.clone(), &registry, Box::new(media.clone()), cfg).expect("boot");
+    let root = Caller::root("flat");
+    let user = [
+        "flat", "4242", "/bin/sh", "Flat", "Test", "", "1", "x", "1990",
+    ];
+    registry
+        .execute(&mut state, &root, "add_user", &user.map(String::from))
+        .expect("flat user");
+    // Windows start at a seal, so each one ends in the automatic seal.
+    state.seal_snapshot().expect("seal");
+
+    let mut sizes = Vec::new();
+    for i in 0..(WARMUP + WINDOWS) * EVERY {
+        clock.set(ATHENA_EPOCH + 60 * (i as i64 + 1));
+        let (query, args): (&str, &[&str]) = match i % 4 {
+            0 => ("add_machine", &["FLAT.MIT.EDU", "VAX"]),
+            1 => ("update_user_shell", &["flat", "/bin/csh"]),
+            2 => ("delete_machine", &["FLAT.MIT.EDU"]),
+            _ => ("update_user_shell", &["flat", "/bin/tsh"]),
+        };
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        registry
+            .execute(&mut state, &root, query, &args)
+            .unwrap_or_else(|e| panic!("mutation {i} ({query}): {e:?}"));
+        assert!(
+            state.journal.len() < EVERY,
+            "mutation {i}: the journal holds {} entries",
+            state.journal.len()
+        );
+        if (i + 1) % EVERY == 0 {
+            let sealed = media.durable_bytes("snapshot.moira").expect("sealed");
+            let seq = format!("\nseq:{}\n", i + 2); // the add_user is seq 1
+            assert!(
+                String::from_utf8_lossy(&sealed).contains(&seq),
+                "mutation {i} sealed a snapshot"
+            );
+            sizes.push(sealed.len());
+        }
+    }
+    let steady = &sizes[WARMUP..];
+    assert!(
+        steady.iter().all(|&n| n == steady[0]),
+        "snapshot sizes after warm-up: {sizes:?}"
     );
 }

@@ -1,4 +1,5 @@
-//! `mrbackup` / `mrrestore` — the ASCII dump format of §5.2.2.
+//! `mrbackup` / `mrrestore` — the ASCII dump format of §5.2.2 — and the one
+//! codec every dump document in this crate shares.
 //!
 //! Each relation is copied to an ASCII file, one line per row, fields
 //! separated by colons. Colons and backslashes inside fields become `\:` and
@@ -7,16 +8,25 @@
 //! only known cure \[for binary corruption\] is to dump the entire database
 //! to text files, and recreate it from scratch from the text files".
 //!
-//! `nightly` reproduces the `nightly.sh` rotation that keeps the last three
-//! backups on line.
+//! One codec serves every dump in this crate, in three layers: fields
+//! ([`escape_field`], [`unescape_field`], and the colon splitter journal
+//! lines use too); rows (one row's `mrbackup` line, also the tail of each
+//! snapshot `row:` line); and sealed documents (a magic line, header
+//! lines, `table:` sections closed by `endtable`, and a final `end`, with a
+//! torn document or bytes after `end` rejected whole), shared by
+//! `moira-backup` and `moira-snapshot` files.
+//!
+//! [`MediaRotation`] keeps `nightly.sh`'s last three backups on line.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
 use moira_common::errors::{MrError, MrResult};
 
 use crate::database::Database;
-use crate::storage::Media;
-use crate::value::{ColType, Value};
+use crate::schema::ColumnDef;
+use crate::storage::{replace_file, Media};
+use crate::value::Value;
 
 /// Escapes one field: `\:`, `\\`, and `\nnn` octal for non-printing bytes.
 pub fn escape_field(s: &str) -> String {
@@ -38,46 +48,128 @@ pub fn unescape_field(s: &str) -> MrResult<String> {
     let mut out = Vec::with_capacity(bytes.len());
     let mut i = 0;
     while i < bytes.len() {
-        if bytes[i] == b'\\' {
-            if i + 1 >= bytes.len() {
-                return Err(MrError::Internal);
+        let (byte, width) = match (bytes[i], bytes.get(i + 1)) {
+            (b'\\', Some(&c @ (b':' | b'\\'))) => (c, 2),
+            (b'\\', Some(d)) if d.is_ascii_digit() => {
+                let oct = s.get(i + 1..i + 4).ok_or(MrError::Internal)?;
+                (
+                    u8::from_str_radix(oct, 8).map_err(|_| MrError::Internal)?,
+                    4,
+                )
             }
-            match bytes[i + 1] {
-                b':' => {
-                    out.push(b':');
-                    i += 2;
-                }
-                b'\\' => {
-                    out.push(b'\\');
-                    i += 2;
-                }
-                d if d.is_ascii_digit() => {
-                    if i + 3 >= bytes.len() {
-                        return Err(MrError::Internal);
-                    }
-                    let oct = &s[i + 1..i + 4];
-                    let val = u8::from_str_radix(oct, 8).map_err(|_| MrError::Internal)?;
-                    out.push(val);
-                    i += 4;
-                }
-                _ => return Err(MrError::Internal),
-            }
-        } else {
-            out.push(bytes[i]);
-            i += 1;
-        }
+            (b'\\', _) => return Err(MrError::Internal),
+            (b, _) => (b, 1),
+        };
+        out.push(byte);
+        i += width;
     }
     String::from_utf8(out).map_err(|_| MrError::Internal)
 }
 
+/// Splits a dump line on its unescaped colons; the fields stay escaped.
+pub(crate) fn split_unescaped_colons(line: &str) -> Vec<&str> {
+    let bytes = line.as_bytes();
+    let mut fields = Vec::new();
+    let mut start = 0;
+    let mut i = 0;
+    while i < bytes.len() {
+        match bytes[i] {
+            b'\\' => i += 2,
+            b':' => {
+                fields.push(&line[start..i]);
+                start = i + 1;
+                i += 1;
+            }
+            _ => i += 1,
+        }
+    }
+    fields.push(&line[start..]);
+    fields
+}
+
+/// Appends `row` as one `mrbackup` line: each value rendered and escaped,
+/// joined by colons, ended by a newline.
+pub(crate) fn push_row(out: &mut String, row: &[Value]) {
+    for (i, v) in row.iter().enumerate() {
+        if i > 0 {
+            out.push(':');
+        }
+        out.push_str(&escape_field(&v.render()));
+    }
+    out.push('\n');
+}
+
+/// Parses one `mrbackup` line into a row of `columns`. A wrong field
+/// count, a bad escape or a value that does not parse as its column type is
+/// `MR_INTERNAL`.
+pub(crate) fn parse_row(line: &str, columns: &[ColumnDef]) -> MrResult<Vec<Value>> {
+    let fields = split_unescaped_colons(line);
+    if fields.len() != columns.len() {
+        return Err(MrError::Internal);
+    }
+    fields
+        .iter()
+        .zip(columns)
+        .map(|(raw, c)| Value::parse(c.ty, &unescape_field(raw)?).ok_or(MrError::Internal))
+        .collect()
+}
+
+/// Writes a sealed dump document: the magic line, the `header` lines (each
+/// ending in a newline), one `table:<head>` section per `(head, item)`
+/// whose lines `body` appends for `item`, each closed by `endtable`, and
+/// `end`. Bodies go straight into the document, so no table is held twice.
+pub(crate) fn write_document<T>(
+    magic: &str,
+    header: &str,
+    tables: impl IntoIterator<Item = (String, T)>,
+    body: impl Fn(&mut String, T),
+) -> String {
+    let mut out = format!("{magic}\n{header}");
+    for (head, item) in tables {
+        let _ = writeln!(out, "table:{head}");
+        body(&mut out, item);
+        out.push_str("endtable\n");
+    }
+    out.push_str("end\n");
+    out
+}
+
+/// A sealed dump document's header lines and `(head, body lines)` table
+/// sections, every line still escaped.
+pub(crate) type Document<'a> = (Vec<&'a str>, Vec<(&'a str, Vec<&'a str>)>);
+
+/// Splits a document [`write_document`] wrote. Anything that does not
+/// frame is [`MrError::Durability`]: another magic line, a section with no
+/// `endtable`, a missing `end`, or bytes after it. A torn document is media
+/// corruption and is never partially trusted.
+pub(crate) fn read_document<'a>(text: &'a str, magic: &str) -> MrResult<Document<'a>> {
+    let sealed = text.strip_suffix("\nend\n").ok_or(MrError::Durability)?;
+    let mut lines = sealed.lines();
+    if lines.next() != Some(magic) {
+        return Err(MrError::Durability);
+    }
+    let (mut header, mut tables) = (Vec::new(), Vec::new());
+    let mut open: Option<(&str, Vec<&str>)> = None;
+    for line in lines {
+        match (open.as_mut(), line.strip_prefix("table:")) {
+            (Some(_), _) if line == "endtable" => tables.extend(open.take()),
+            (Some((_, body)), _) => body.push(line),
+            (None, Some(head)) => open = Some((head, Vec::new())),
+            (None, None) if tables.is_empty() && line != "endtable" => header.push(line),
+            (None, None) => return Err(MrError::Durability),
+        }
+    }
+    match open {
+        None => Ok((header, tables)),
+        Some(_) => Err(MrError::Durability),
+    }
+}
+
 /// Dumps one table to its ASCII representation.
 pub fn dump_table(db: &Database, table: &str) -> String {
-    let t = db.table(table);
     let mut out = String::new();
-    for (_, row) in t.iter() {
-        let line: Vec<String> = row.iter().map(|v| escape_field(&v.render())).collect();
-        out.push_str(&line.join(":"));
-        out.push('\n');
+    for (_, row) in db.table(table).iter() {
+        push_row(&mut out, row);
     }
     out
 }
@@ -103,28 +195,10 @@ pub fn restore_table(db: &mut Database, table: &str, dump: &str) -> MrResult<usi
     if !db.table(table).is_empty() {
         return Err(MrError::Exists);
     }
-    let types: Vec<ColType> = db
-        .table(table)
-        .schema()
-        .columns
-        .iter()
-        .map(|c| c.ty)
-        .collect();
+    let columns = db.table(table).schema().columns.clone();
     let mut count = 0;
-    for line in dump.lines() {
-        if line.is_empty() {
-            continue;
-        }
-        let raw_fields = split_unescaped_colons(line);
-        if raw_fields.len() != types.len() {
-            return Err(MrError::Internal);
-        }
-        let mut row = Vec::with_capacity(types.len());
-        for (raw, &ty) in raw_fields.iter().zip(&types) {
-            let text = unescape_field(raw)?;
-            row.push(Value::parse(ty, &text).ok_or(MrError::Internal)?);
-        }
-        db.append(table, row)?;
+    for line in dump.lines().filter(|l| !l.is_empty()) {
+        db.append(table, parse_row(line, &columns)?)?;
         count += 1;
     }
     Ok(count)
@@ -143,100 +217,31 @@ pub fn mrrestore(db: &mut Database, backup: &BTreeMap<String, String>) -> MrResu
     Ok(total)
 }
 
-pub(crate) fn split_unescaped_colons(line: &str) -> Vec<&str> {
-    let bytes = line.as_bytes();
-    let mut fields = Vec::new();
-    let mut start = 0;
-    let mut i = 0;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'\\' => i += 2,
-            b':' => {
-                fields.push(&line[start..i]);
-                start = i + 1;
-                i += 1;
-            }
-            _ => i += 1,
-        }
-    }
-    fields.push(&line[start..]);
-    fields
-}
-
-/// A three-generation rotation of on-line backups, as `nightly.sh` kept.
-#[derive(Debug, Default)]
-pub struct NightlyRotation {
-    generations: Vec<BTreeMap<String, String>>,
-}
-
-impl NightlyRotation {
-    /// Creates an empty rotation.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Takes a backup of `db` and rotates it in, discarding the oldest when
-    /// more than three are held.
-    pub fn run_nightly(&mut self, db: &Database) {
-        self.generations.insert(0, mrbackup(db));
-        self.generations.truncate(3);
-    }
-
-    /// Backup generations, newest first.
-    pub fn generations(&self) -> &[BTreeMap<String, String>] {
-        &self.generations
-    }
-}
+/// Magic first line of a backup document.
+const BACKUP_MAGIC: &str = "moira-backup:1";
 
 /// One-file encoding of a full backup, suitable for atomic replacement on
 /// durable media.
 pub fn encode_backup(backup: &BTreeMap<String, String>) -> String {
-    let mut out = String::from("moira-backup:1\n");
-    for (table, dump) in backup {
-        out.push_str("table:");
-        out.push_str(&escape_field(table));
-        out.push('\n');
-        out.push_str(dump);
-        out.push_str("endtable\n");
-    }
-    out.push_str("end\n");
-    out
+    let tables = backup.iter().map(|(name, dump)| (escape_field(name), dump));
+    write_document(BACKUP_MAGIC, "", tables, |out, dump| out.push_str(dump))
 }
 
 /// Reverses [`encode_backup`]. Every failure is [`MrError::Durability`]: a
 /// backup that does not parse in full — including a missing `end` seal —
 /// is treated as media corruption, never partially trusted.
 pub fn decode_backup(text: &str) -> MrResult<BTreeMap<String, String>> {
-    let mut lines = text.lines();
-    if lines.next() != Some("moira-backup:1") {
+    let (header, tables) = read_document(text, BACKUP_MAGIC)?;
+    if !header.is_empty() {
         return Err(MrError::Durability);
     }
     let mut backup = BTreeMap::new();
-    let mut sealed = false;
-    while let Some(line) = lines.next() {
-        if line == "end" {
-            sealed = true;
-            break;
-        }
-        let name = line.strip_prefix("table:").ok_or(MrError::Durability)?;
-        let name = unescape_field(name).map_err(|_| MrError::Durability)?;
-        let mut dump = String::new();
-        loop {
-            match lines.next() {
-                Some("endtable") => break,
-                Some(row) => {
-                    dump.push_str(row);
-                    dump.push('\n');
-                }
-                None => return Err(MrError::Durability),
-            }
-        }
+    for (head, rows) in tables {
+        let name = unescape_field(head).map_err(|_| MrError::Durability)?;
+        let dump = rows.iter().flat_map(|row| [*row, "\n"]).collect();
         if backup.insert(name, dump).is_some() {
             return Err(MrError::Durability);
         }
-    }
-    if !sealed || lines.next().is_some() {
-        return Err(MrError::Durability);
     }
     Ok(backup)
 }
@@ -246,13 +251,17 @@ pub fn decode_backup(text: &str) -> MrResult<BTreeMap<String, String>> {
 pub const BACKUP_GENERATIONS: [&str; 3] = ["backup.1", "backup.2", "backup.3"];
 /// Scratch name for the atomic-replace protocol.
 pub const BACKUP_TMP: &str = "backup.tmp";
+/// The generation shifts of one rotation, oldest first so no generation is
+/// overwritten before it has been moved out of the way.
+const SHIFT: [(&str, &str); 2] = [("backup.2", "backup.3"), ("backup.1", "backup.2")];
 
-/// The three-generation rotation written to durable [`Media`] with the
-/// same crash discipline as the snapshot path: the new backup is written
-/// to a temp file and fsynced *before* any rename, the generation shifts
-/// are renames (atomic, made durable by the closing directory fsync), and
-/// a crash at any point leaves every surviving generation fully decodable
-/// — never a torn or half-rotated file.
+/// `nightly.sh`'s three-generation rotation ("maintains the last three
+/// backups on line", §5.2.2) on durable [`Media`], with the snapshot's
+/// crash discipline: the new backup is written to a temp file and fsynced
+/// *before* any rename, the generation shifts are renames made durable by
+/// the closing directory fsync, and a crash at any point leaves every
+/// surviving generation fully decodable — never a torn or half-rotated
+/// file.
 #[derive(Debug)]
 pub struct MediaRotation<M: Media> {
     media: M,
@@ -267,39 +276,22 @@ impl<M: Media> MediaRotation<M> {
     /// Takes a backup of `db` and rotates it in as `backup.1`, shifting
     /// the older generations down and discarding the fourth-oldest.
     pub fn run_nightly(&mut self, db: &Database) -> MrResult<()> {
-        // A stale temp file from a crashed previous run is garbage.
-        if self.media.read(BACKUP_TMP)?.is_some() {
-            self.media.remove(BACKUP_TMP)?;
-        }
-        let encoded = encode_backup(&mrbackup(db));
-        self.media.write_new(BACKUP_TMP, encoded.as_bytes())?;
-        self.media.fsync(BACKUP_TMP)?;
-        // Shift oldest-first so no generation is overwritten before it has
-        // been moved out of the way.
-        if self.media.read(BACKUP_GENERATIONS[1])?.is_some() {
-            self.media
-                .rename(BACKUP_GENERATIONS[1], BACKUP_GENERATIONS[2])?;
-        }
-        if self.media.read(BACKUP_GENERATIONS[0])?.is_some() {
-            self.media
-                .rename(BACKUP_GENERATIONS[0], BACKUP_GENERATIONS[1])?;
-        }
-        self.media.rename(BACKUP_TMP, BACKUP_GENERATIONS[0])?;
-        self.media.fsync_dir()
+        let bytes = encode_backup(&mrbackup(db)).into_bytes();
+        let (tmp, newest) = (BACKUP_TMP, BACKUP_GENERATIONS[0]);
+        replace_file(&mut self.media, tmp, newest, &bytes, &SHIFT)
     }
 
-    /// Decodes every generation present on the media, newest first. A
-    /// generation that fails to decode is an error — rotation crashes must
-    /// never leave a torn file behind.
-    pub fn generations(&self) -> MrResult<Vec<BTreeMap<String, String>>> {
-        let mut out = Vec::new();
-        for name in BACKUP_GENERATIONS {
-            if let Some(bytes) = self.media.read(name)? {
-                let text = String::from_utf8(bytes).map_err(|_| MrError::Durability)?;
-                out.push(decode_backup(&text)?);
-            }
-        }
-        Ok(out)
+    /// The on-line generations, newest first. The list ends at the first
+    /// generation that is missing, unreadable or does not decode, so an
+    /// older backup never stands in for a damaged newer one.
+    pub fn generations(&self) -> Vec<BTreeMap<String, String>> {
+        BACKUP_GENERATIONS
+            .iter()
+            .map_while(|name| {
+                let bytes = self.media.read(name).ok()??;
+                decode_backup(std::str::from_utf8(&bytes).ok()?).ok()
+            })
+            .collect()
     }
 }
 
@@ -338,6 +330,9 @@ mod tests {
         assert!(unescape_field("trailing\\").is_err());
         assert!(unescape_field("bad\\x").is_err());
         assert!(unescape_field("short\\01").is_err());
+        // An octal escape cut by a multi-byte character is an error, not a
+        // slice across a character boundary.
+        assert!(unescape_field("\\1\u{20ac}").is_err());
     }
 
     #[test]
@@ -396,24 +391,6 @@ mod tests {
     }
 
     #[test]
-    fn nightly_keeps_three() {
-        let mut db = sample_db();
-        let mut rot = NightlyRotation::new();
-        for i in 0..5 {
-            db.append(
-                "users",
-                vec![format!("u{i}").into(), i.into(), true.into(), "U".into()],
-            )
-            .unwrap();
-            rot.run_nightly(&db);
-        }
-        assert_eq!(rot.generations().len(), 3);
-        // Newest generation has all five users; oldest kept has three.
-        assert_eq!(rot.generations()[0]["users"].lines().count(), 5);
-        assert_eq!(rot.generations()[2]["users"].lines().count(), 3);
-    }
-
-    #[test]
     fn backup_document_round_trip_and_rejects_torn() {
         let mut db = sample_db();
         db.append(
@@ -443,10 +420,24 @@ mod tests {
             .unwrap();
             rot.run_nightly(&db).unwrap();
         }
-        let gens = rot.generations().unwrap();
+        let gens = rot.generations();
         assert_eq!(gens.len(), 3);
         assert_eq!(gens[0]["users"].lines().count(), 5);
         assert_eq!(gens[2]["users"].lines().count(), 3);
+    }
+
+    #[test]
+    fn damaged_newest_generation_ends_the_list() {
+        let db = sample_db();
+        let mut media = SimMedia::new();
+        let mut rot = MediaRotation::new(media.clone());
+        rot.run_nightly(&db).unwrap();
+        rot.run_nightly(&db).unwrap();
+        assert_eq!(rot.generations().len(), 2);
+        media
+            .write_new(BACKUP_GENERATIONS[0], b"moira-backup:1\n")
+            .unwrap();
+        assert!(rot.generations().is_empty(), "backup.2 must not stand in");
     }
 
     #[test]
@@ -462,7 +453,7 @@ mod tests {
             .unwrap();
             rot.run_nightly(&db).unwrap();
         }
-        let before = rot.generations().unwrap();
+        let before = rot.generations();
 
         // Every rename in the rotation is a kill point: shift 2→3, shift
         // 1→2, and the tmp→1 replacement itself.
@@ -486,13 +477,13 @@ mod tests {
             media.power_cycle();
             // The directory fsync never ran, so no rename became durable:
             // the old trio is intact and every file still decodes.
-            assert_eq!(rot.generations().unwrap(), before, "rename #{nth}");
+            assert_eq!(rot.generations(), before, "rename #{nth}");
         }
 
         // The next nightly run converges: stale tmp is discarded and the
         // new backup (with all crash-era rows) becomes generation one.
         rot.run_nightly(&db).unwrap();
-        let after = rot.generations().unwrap();
+        let after = rot.generations();
         assert_eq!(after.len(), 3);
         assert!(after[0]["users"].contains("crash2"));
         assert_eq!(after[1], before[0]);

@@ -6,12 +6,16 @@
 //! replaying a journal over a restored backup recovers the transactions the
 //! backup missed.
 //!
-//! The serialized form reuses the backup escaping so journal lines survive
+//! As in the paper, the journal covers only the changes since the newest
+//! backup: a nightly dump or a snapshot seal empties it, so it is bounded
+//! by the backup cadence, not by uptime.
+//!
+//! The serialized form uses the backup field codec so journal lines survive
 //! arbitrary argument bytes.
 
 use moira_common::errors::{MrError, MrResult};
 
-use crate::backup::{escape_field, unescape_field};
+use crate::backup::{escape_field, split_unescaped_colons, unescape_field};
 
 /// One successful, side-effecting operation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -43,16 +47,16 @@ impl JournalEntry {
 
     /// Parses one journal line.
     pub fn from_line(line: &str) -> MrResult<JournalEntry> {
-        let parts = split_cols(line);
-        if parts.len() < 4 {
+        let parts = split_unescaped_colons(line);
+        let [time, who, with, query, args @ ..] = &parts[..] else {
             return Err(MrError::Internal);
-        }
+        };
         Ok(JournalEntry {
-            time: parts[0].parse().map_err(|_| MrError::Internal)?,
-            who: unescape_field(parts[1])?,
-            with: unescape_field(parts[2])?,
-            query: unescape_field(parts[3])?,
-            args: parts[4..]
+            time: time.parse().map_err(|_| MrError::Internal)?,
+            who: unescape_field(who)?,
+            with: unescape_field(with)?,
+            query: unescape_field(query)?,
+            args: args
                 .iter()
                 .map(|p| unescape_field(p))
                 .collect::<MrResult<_>>()?,
@@ -60,26 +64,7 @@ impl JournalEntry {
     }
 }
 
-fn split_cols(line: &str) -> Vec<&str> {
-    let bytes = line.as_bytes();
-    let mut fields = Vec::new();
-    let (mut start, mut i) = (0, 0);
-    while i < bytes.len() {
-        match bytes[i] {
-            b'\\' => i += 2,
-            b':' => {
-                fields.push(&line[start..i]);
-                start = i + 1;
-                i += 1;
-            }
-            _ => i += 1,
-        }
-    }
-    fields.push(&line[start..]);
-    fields
-}
-
-/// An in-memory journal with text serialization.
+/// The in-memory journal since the newest backup, with text serialization.
 #[derive(Debug, Default, Clone)]
 pub struct Journal {
     entries: Vec<JournalEntry>,
@@ -111,8 +96,14 @@ impl Journal {
         self.entries.is_empty()
     }
 
+    /// Empties the journal: the newest backup now holds every change.
+    pub fn clear(&mut self) {
+        self.entries.clear();
+    }
+
     /// Entries strictly after `time` — the ones a backup taken at `time`
-    /// does not contain.
+    /// does not contain. Only the tail since the newest backup is retained,
+    /// so a `time` before that backup yields that tail, not older history.
     pub fn since(&self, time: i64) -> impl Iterator<Item = &JournalEntry> {
         self.entries.iter().filter(move |e| e.time > time)
     }
@@ -201,6 +192,16 @@ mod tests {
         assert_eq!(j.since(7).count(), 3);
         assert_eq!(j.since(0).count(), 10);
         assert_eq!(j.since(10).count(), 0);
+    }
+
+    #[test]
+    fn clear_starts_a_new_tail() {
+        let mut j = Journal::new();
+        j.log(entry(1, "q", &[]));
+        j.clear();
+        assert!(j.is_empty());
+        j.log(entry(2, "q", &[]));
+        assert_eq!(j.since(0).count(), 1);
     }
 
     #[test]

@@ -19,11 +19,11 @@
 //! - [`database`] — the named-table container with a shared virtual clock.
 //! - [`lock`] — the shared/exclusive named lock manager with deadlock
 //!   detection (`MR_DEADLOCK`), used by the DCM's service/host locking.
-//! - [`backup`] — `mrbackup`/`mrrestore`: the colon-separated ASCII dump
-//!   format with `\:`, `\\` and `\nnn` escapes, plus three-generation
-//!   rotation (§5.2.2).
-//! - [`journal`] — the append-only journal of successful changes that closes
-//!   the "no more than a day's transactions" recovery gap (§5.2.2).
+//! - [`backup`] — `mrbackup`/`mrrestore` (§5.2.2): the colon-separated
+//!   ASCII dump codec with `\:`, `\\` and `\nnn` escapes that snapshots
+//!   share, plus three-generation rotation on durable media.
+//! - [`journal`] — the journal of successful changes since the newest
+//!   backup, which closes the "no more than a day's transactions" gap.
 //! - [`wal`] / [`snapshot`] / [`storage`] — the durable engine: CRC-framed
 //!   write-ahead log with group commit, atomic snapshot documents, and
 //!   crash recovery that preserves the epoch and per-row generations the

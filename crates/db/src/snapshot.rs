@@ -1,36 +1,39 @@
 //! Durable snapshot documents: the full database image a recovering server
 //! boots from before replaying the WAL tail.
 //!
-//! A snapshot extends the `mrbackup` ASCII philosophy (§5.2.2 — text files
-//! are the only dump format whose corruption is always curable) to the
-//! *mutation state* the delta-DCM machinery depends on: the database epoch,
-//! per-table statistics, per-row generation stamps, tombstones, and
-//! free-list order, plus the in-memory journal so the recovered server's
-//! change history is complete. Field values use the same `\:`, `\\`, `\nnn`
-//! escapes as the backup dumps.
+//! A snapshot is this system's backup. It is an `mrbackup` dump (§5.2.2:
+//! text files are the only dump format whose corruption is always curable)
+//! extended with the *mutation state* the delta-DCM machinery depends on:
+//! the database epoch, per-table statistics, per-row generation stamps,
+//! tombstones, and free-list order. It does not carry the journal: the
+//! journal lists only the changes since the newest backup, and after a
+//! crash those are exactly the WAL frames past the snapshot's `seq`.
 //!
-//! The document is line-oriented and ends with an explicit `end` marker, so
-//! a torn file (impossible under the temp-file + rename + dir-fsync write
-//! protocol, but disks lie) is detected rather than half-applied.
+//! The document uses the dump codec of [`crate::backup`]: a `row:<id>:<gen>:`
+//! line is followed by that row's `mrbackup` line, and the sealed framing
+//! (`table:` … `endtable` sections, a final `end`) means a torn file
+//! (impossible under the temp-file + rename + dir-fsync write protocol, but
+//! disks lie) is detected rather than half-applied.
+
+use std::fmt::Write as _;
+use std::str::FromStr;
 
 use moira_common::errors::{MrError, MrResult};
 
-use crate::backup::{escape_field, split_unescaped_colons, unescape_field};
+use crate::backup::{parse_row, push_row, read_document, write_document};
 use crate::database::Database;
-use crate::journal::{Journal, JournalEntry};
 use crate::table::{RowId, TableImage, TableStats};
-use crate::value::{ColType, Value};
 
-/// Magic first line; the `:1` is the format version.
-const MAGIC: &str = "moira-snapshot:1";
+/// Magic first line; the `:2` is the format version. Version 1 carried
+/// the journal and is rejected.
+const MAGIC: &str = "moira-snapshot:2";
 
-/// One table's raw (still-escaped-text) image inside a snapshot document.
+/// One table's image inside a snapshot document; its rows stay `mrbackup`
+/// lines until [`SnapshotImage::apply`] types them against the schema.
 #[derive(Debug, Clone, Default)]
 struct RawTable {
-    stats: TableStats,
-    rows: Vec<(RowId, u64, Vec<String>)>,
-    dead: Vec<(RowId, u64)>,
-    free: Vec<RowId>,
+    image: TableImage,
+    rows: Vec<(RowId, u64, String)>,
 }
 
 /// A parsed snapshot document, ready to apply to a schema-created database.
@@ -43,152 +46,103 @@ pub struct SnapshotImage {
     /// Last WAL sequence number the snapshot covers; recovery replays only
     /// frames with a higher sequence.
     pub seq: u64,
-    /// The journal as of snapshot time.
-    pub journal: Journal,
     tables: Vec<(String, RawTable)>,
 }
 
-/// Serializes the database (plus journal) into a snapshot document sealing
-/// every WAL frame up to and including `seq`.
-pub fn encode_snapshot(db: &Database, journal: &Journal, seq: u64) -> String {
-    let mut out = String::new();
-    out.push_str(MAGIC);
-    out.push('\n');
-    out.push_str(&format!("epoch:{}\n", db.epoch()));
-    out.push_str(&format!("now:{}\n", db.now()));
-    out.push_str(&format!("seq:{seq}\n"));
-    for name in db.table_names() {
+/// Serializes the database into a snapshot document sealing every WAL
+/// frame up to and including `seq`.
+pub fn encode_snapshot(db: &Database, seq: u64) -> String {
+    let header = format!("epoch:{}\nnow:{}\nseq:{seq}\n", db.epoch(), db.now());
+    let tables = db.table_names().into_iter().map(|name| {
         let image = db.table(name).export_image();
         let s = image.stats;
-        out.push_str(&format!(
-            "table:{name}:{}:{}:{}:{}:{}\n",
+        let head = format!(
+            "{name}:{}:{}:{}:{}:{}",
             s.appends, s.updates, s.deletes, s.modtime, s.generation
-        ));
+        );
+        (head, image)
+    });
+    write_document(MAGIC, &header, tables, |out, image| {
         for (id, gen, row) in &image.rows {
-            out.push_str(&format!("row:{id}:{gen}"));
-            for v in row {
-                out.push(':');
-                out.push_str(&escape_field(&v.render()));
-            }
-            out.push('\n');
+            let _ = write!(out, "row:{id}:{gen}:");
+            push_row(out, row);
         }
         for (id, gen) in &image.dead {
-            out.push_str(&format!("dead:{id}:{gen}\n"));
+            let _ = writeln!(out, "dead:{id}:{gen}");
         }
         let free: Vec<String> = image.free.iter().map(|id| id.to_string()).collect();
-        out.push_str(&format!("free:{}\n", free.join(",")));
-        out.push_str("endtable\n");
-    }
-    for entry in journal.entries() {
-        out.push_str("journal:");
-        out.push_str(&entry.to_line());
-        out.push('\n');
-    }
-    out.push_str("end\n");
-    out
+        let _ = writeln!(out, "free:{}", free.join(","));
+    })
 }
 
-fn parse_u64(s: &str) -> MrResult<u64> {
+fn num<T: FromStr>(s: &str) -> MrResult<T> {
     s.parse().map_err(|_| MrError::Durability)
 }
 
-fn parse_i64(s: &str) -> MrResult<i64> {
-    s.parse().map_err(|_| MrError::Durability)
+/// Splits `tag:rest` at its first colon.
+fn pair(line: &str) -> MrResult<(&str, &str)> {
+    line.split_once(':').ok_or(MrError::Durability)
 }
 
-/// Parses a snapshot document. Rejects (with `MR_DURABILITY`) anything
-/// malformed or missing the trailing `end` marker.
-pub fn decode_snapshot(text: &str) -> MrResult<SnapshotImage> {
-    let mut lines = text.lines();
-    if lines.next() != Some(MAGIC) {
+/// Parses one `table:` section: its head and its body lines.
+fn decode_table(head: &str, body: &[&str]) -> MrResult<(String, RawTable)> {
+    let parts: Vec<&str> = head.split(':').collect();
+    let [name, appends, updates, deletes, modtime, generation] = parts[..] else {
         return Err(MrError::Durability);
-    }
-    let mut epoch = None;
-    let mut now = None;
-    let mut seq = None;
-    let mut journal = Journal::new();
-    let mut tables: Vec<(String, RawTable)> = Vec::new();
-    let mut current: Option<(String, RawTable)> = None;
-    let mut sealed = false;
-    for line in lines {
-        if sealed {
-            return Err(MrError::Durability); // trailing garbage
-        }
-        let (tag, rest) = line.split_once(':').unwrap_or((line, ""));
-        match tag {
-            "epoch" => epoch = Some(parse_u64(rest)?),
-            "now" => now = Some(parse_i64(rest)?),
-            "seq" => seq = Some(parse_u64(rest)?),
-            "table" => {
-                if let Some(done) = current.take() {
-                    tables.push(done);
-                }
-                let parts: Vec<&str> = rest.split(':').collect();
-                if parts.len() != 6 {
-                    return Err(MrError::Durability);
-                }
-                let stats = TableStats {
-                    appends: parse_u64(parts[1])?,
-                    updates: parse_u64(parts[2])?,
-                    deletes: parse_u64(parts[3])?,
-                    modtime: parse_i64(parts[4])?,
-                    generation: parse_u64(parts[5])?,
-                };
-                current = Some((
-                    parts[0].to_owned(),
-                    RawTable {
-                        stats,
-                        ..RawTable::default()
-                    },
-                ));
+    };
+    let mut raw = RawTable::default();
+    raw.image.stats = TableStats {
+        appends: num(appends)?,
+        updates: num(updates)?,
+        deletes: num(deletes)?,
+        modtime: num(modtime)?,
+        generation: num(generation)?,
+    };
+    for line in body {
+        match pair(line)? {
+            ("row", rest) => {
+                let (id, rest) = pair(rest)?;
+                let (gen, row) = pair(rest)?;
+                raw.rows.push((num(id)?, num(gen)?, row.to_owned()));
             }
-            "row" => {
-                let t = current.as_mut().ok_or(MrError::Durability)?;
-                let fields = split_unescaped_colons(rest);
-                if fields.len() < 2 {
-                    return Err(MrError::Durability);
-                }
-                let id = parse_u64(fields[0])? as RowId;
-                let gen = parse_u64(fields[1])?;
-                let values = fields[2..]
-                    .iter()
-                    .map(|f| unescape_field(f).map_err(|_| MrError::Durability))
-                    .collect::<MrResult<Vec<String>>>()?;
-                t.1.rows.push((id, gen, values));
+            ("dead", rest) => {
+                let (id, gen) = pair(rest)?;
+                raw.image.dead.push((num(id)?, num(gen)?));
             }
-            "dead" => {
-                let t = current.as_mut().ok_or(MrError::Durability)?;
-                let (id, gen) = rest.split_once(':').ok_or(MrError::Durability)?;
-                t.1.dead.push((parse_u64(id)? as RowId, parse_u64(gen)?));
+            ("free", ids) => {
+                raw.image.free = ids
+                    .split_terminator(',')
+                    .map(num)
+                    .collect::<MrResult<_>>()?
             }
-            "free" => {
-                let t = current.as_mut().ok_or(MrError::Durability)?;
-                if !rest.is_empty() {
-                    for id in rest.split(',') {
-                        t.1.free.push(parse_u64(id)? as RowId);
-                    }
-                }
-            }
-            "endtable" if rest.is_empty() => {
-                let done = current.take().ok_or(MrError::Durability)?;
-                tables.push(done);
-            }
-            "journal" => {
-                journal.log(JournalEntry::from_line(rest).map_err(|_| MrError::Durability)?);
-            }
-            "end" if rest.is_empty() => sealed = true,
             _ => return Err(MrError::Durability),
         }
     }
-    if !sealed || current.is_some() {
-        return Err(MrError::Durability);
+    Ok((name.to_owned(), raw))
+}
+
+/// Parses a snapshot document. Rejects (with `MR_DURABILITY`) anything
+/// malformed, torn, or of another format version.
+pub fn decode_snapshot(text: &str) -> MrResult<SnapshotImage> {
+    let (header, tables) = read_document(text, MAGIC)?;
+    let (mut epoch, mut now, mut seq) = (None, None, None);
+    for line in header {
+        match pair(line)? {
+            ("epoch", v) => epoch = Some(num(v)?),
+            ("now", v) => now = Some(num(v)?),
+            ("seq", v) => seq = Some(num(v)?),
+            _ => return Err(MrError::Durability),
+        }
     }
+    let tables = tables
+        .iter()
+        .map(|(head, body)| decode_table(head, body))
+        .collect::<MrResult<_>>()?;
     match (epoch, now, seq) {
         (Some(epoch), Some(now), Some(seq)) => Ok(SnapshotImage {
             epoch,
             now,
             seq,
-            journal,
             tables,
         }),
         _ => Err(MrError::Durability),
@@ -204,29 +158,18 @@ impl SnapshotImage {
             if !db.has_table(name) {
                 return Err(MrError::Durability);
             }
-            let types: Vec<ColType> = db
-                .table(name)
-                .schema()
-                .columns
+            let columns = db.table(name).schema().columns.clone();
+            let rows = raw
+                .rows
                 .iter()
-                .map(|c| c.ty)
-                .collect();
-            let mut rows = Vec::with_capacity(raw.rows.len());
-            for (id, gen, fields) in &raw.rows {
-                if fields.len() != types.len() {
-                    return Err(MrError::Durability);
-                }
-                let mut values = Vec::with_capacity(types.len());
-                for (text, &ty) in fields.iter().zip(&types) {
-                    values.push(Value::parse(ty, text).ok_or(MrError::Durability)?);
-                }
-                rows.push((*id, *gen, values));
-            }
+                .map(|(id, gen, line)| {
+                    let row = parse_row(line, &columns).map_err(|_| MrError::Durability)?;
+                    Ok((*id, *gen, row))
+                })
+                .collect::<MrResult<_>>()?;
             let image = TableImage {
                 rows,
-                dead: raw.dead.clone(),
-                free: raw.free.clone(),
-                stats: raw.stats,
+                ..raw.image.clone()
             };
             db.table_mut(name)
                 .import_image(&image)
@@ -256,7 +199,7 @@ mod tests {
         ]
     }
 
-    fn build_db() -> (Database, Journal) {
+    fn build_db() -> Database {
         let clock = VClock::new();
         let mut db = Database::new(clock.clone());
         for s in schema() {
@@ -272,15 +215,7 @@ mod tests {
         db.delete("users", a).unwrap();
         db.append("values", vec!["dcm\nenable".into(), 1.into()])
             .unwrap();
-        let mut journal = Journal::new();
-        journal.log(JournalEntry {
-            time: db.now(),
-            who: "ops:root".into(),
-            with: "maint".into(),
-            query: "add_user".into(),
-            args: vec!["x\ny".into(), String::new()],
-        });
-        (db, journal)
+        db
     }
 
     fn rebuild(image: &SnapshotImage) -> Database {
@@ -294,13 +229,12 @@ mod tests {
 
     #[test]
     fn snapshot_round_trip_is_exact() {
-        let (db, journal) = build_db();
-        let text = encode_snapshot(&db, &journal, 17);
+        let db = build_db();
+        let text = encode_snapshot(&db, 17);
         let image = decode_snapshot(&text).unwrap();
         assert_eq!(image.epoch, db.epoch());
         assert_eq!(image.now, db.now());
         assert_eq!(image.seq, 17);
-        assert_eq!(image.journal.entries(), journal.entries());
 
         let back = rebuild(&image);
         assert_eq!(back.epoch(), db.epoch());
@@ -312,13 +246,13 @@ mod tests {
             );
         }
         // Re-encoding the rebuilt database is byte-identical.
-        assert_eq!(encode_snapshot(&back, &journal, 17), text);
+        assert_eq!(encode_snapshot(&back, 17), text);
     }
 
     #[test]
     fn truncated_or_mangled_documents_are_rejected() {
-        let (db, journal) = build_db();
-        let text = encode_snapshot(&db, &journal, 3);
+        let db = build_db();
+        let text = encode_snapshot(&db, 3);
         // Any prefix missing the end marker is rejected.
         let cut = text.len() - 5;
         assert!(decode_snapshot(&text[..cut]).is_err());
@@ -328,12 +262,14 @@ mod tests {
         assert!(decode_snapshot(&mangled).is_err());
         let trailing = format!("{text}junk\n");
         assert!(decode_snapshot(&trailing).is_err());
+        // A version-1 document (which carried the journal) has no reader.
+        let v1 = text.replacen("moira-snapshot:2", "moira-snapshot:1", 1);
+        assert_eq!(decode_snapshot(&v1).unwrap_err(), MrError::Durability);
     }
 
     #[test]
     fn apply_requires_known_pristine_tables() {
-        let (db, journal) = build_db();
-        let image = decode_snapshot(&encode_snapshot(&db, &journal, 0)).unwrap();
+        let image = decode_snapshot(&encode_snapshot(&build_db(), 0)).unwrap();
         // Missing table.
         let mut missing = Database::recovered(VClock::new(), image.epoch);
         missing.create_table(schema().remove(0));

@@ -32,7 +32,7 @@ use std::sync::Arc;
 
 use moira_common::errors::{MrError, MrResult};
 use moira_obs::{Counter, Histo, Registry};
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 
 use crate::database::Database;
 use crate::journal::{Journal, JournalEntry};
@@ -149,6 +149,30 @@ impl Media for DiskMedia {
     }
 }
 
+/// Crash-safe whole-file replace, the one protocol snapshots and backup
+/// rotation share. `bytes` go to `tmp` and are fsynced before any rename;
+/// then each `(from, to)` in `shift` whose source exists is renamed, `tmp`
+/// is renamed over `file`, and the directory fsync makes the renames
+/// durable together. A crash anywhere leaves `file` either whole-old or
+/// whole-new, never torn.
+pub(crate) fn replace_file(
+    media: &mut dyn Media,
+    tmp: &str,
+    file: &str,
+    bytes: &[u8],
+    shift: &[(&str, &str)],
+) -> MrResult<()> {
+    media.write_new(tmp, bytes)?;
+    media.fsync(tmp)?;
+    for &(from, to) in shift {
+        if media.read(from)?.is_some() {
+            media.rename(from, to)?;
+        }
+    }
+    media.rename(tmp, file)?;
+    media.fsync_dir()
+}
+
 // ---------------------------------------------------------------------------
 // SimMedia — in-memory media with a durable/volatile split and crash points
 
@@ -178,8 +202,6 @@ struct SimState {
     armed: Option<(OpKind, u64)>,
     /// After a crash fires every op fails until [`SimMedia::power_cycle`].
     dead: bool,
-    /// How many crash points have fired over this media's lifetime.
-    crashes: u64,
 }
 
 impl SimState {
@@ -190,7 +212,6 @@ impl SimState {
                 if *n == 0 {
                     self.armed = None;
                     self.dead = true;
-                    self.crashes += 1;
                     true
                 } else {
                     *n -= 1;
@@ -242,9 +263,13 @@ impl SimMedia {
         self.state.lock().dead
     }
 
-    /// Number of crash points that have fired.
-    pub fn crash_count(&self) -> u64 {
-        self.state.lock().crashes
+    /// Locks the store; every operation fails while a crash has it dead.
+    fn live(&self) -> MrResult<MutexGuard<'_, SimState>> {
+        let st = self.state.lock();
+        if st.dead {
+            return Err(MrError::Durability);
+        }
+        Ok(st)
     }
 
     /// The durable contents of a file — what a post-crash reboot reads.
@@ -255,10 +280,7 @@ impl SimMedia {
 
 impl Media for SimMedia {
     fn append(&mut self, file: &str, bytes: &[u8]) -> MrResult<()> {
-        let mut st = self.state.lock();
-        if st.dead {
-            return Err(MrError::Durability);
-        }
+        let mut st = self.live()?;
         if st.should_crash(OpKind::Append) {
             // Torn write: only half the bytes reach the (volatile) file,
             // and nothing was fsynced — the classic crash-during-append.
@@ -274,10 +296,7 @@ impl Media for SimMedia {
     }
 
     fn fsync(&mut self, file: &str) -> MrResult<()> {
-        let mut st = self.state.lock();
-        if st.dead {
-            return Err(MrError::Durability);
-        }
+        let mut st = self.live()?;
         let live = st.volatile.get(file).cloned().unwrap_or_default();
         if st.should_crash(OpKind::Fsync) {
             // Crash mid-fsync: the durable file lands an arbitrary way
@@ -298,27 +317,18 @@ impl Media for SimMedia {
     }
 
     fn read(&self, file: &str) -> MrResult<Option<Vec<u8>>> {
-        let st = self.state.lock();
-        if st.dead {
-            return Err(MrError::Durability);
-        }
+        let st = self.live()?;
         Ok(st.volatile.get(file).cloned())
     }
 
     fn write_new(&mut self, file: &str, bytes: &[u8]) -> MrResult<()> {
-        let mut st = self.state.lock();
-        if st.dead {
-            return Err(MrError::Durability);
-        }
+        let mut st = self.live()?;
         st.volatile.insert(file.to_owned(), bytes.to_vec());
         Ok(())
     }
 
     fn rename(&mut self, from: &str, to: &str) -> MrResult<()> {
-        let mut st = self.state.lock();
-        if st.dead {
-            return Err(MrError::Durability);
-        }
+        let mut st = self.live()?;
         if st.should_crash(OpKind::Rename) {
             // Crash mid-rename: the durable directory never sees it.
             return Err(MrError::Durability);
@@ -332,10 +342,7 @@ impl Media for SimMedia {
     }
 
     fn fsync_dir(&mut self) -> MrResult<()> {
-        let mut st = self.state.lock();
-        if st.dead {
-            return Err(MrError::Durability);
-        }
+        let mut st = self.live()?;
         let renames = std::mem::take(&mut st.pending_renames);
         for (from, to) in renames {
             if let Some(bytes) = st.durable.remove(&from) {
@@ -350,20 +357,14 @@ impl Media for SimMedia {
     }
 
     fn remove(&mut self, file: &str) -> MrResult<()> {
-        let mut st = self.state.lock();
-        if st.dead {
-            return Err(MrError::Durability);
-        }
+        let mut st = self.live()?;
         st.volatile.remove(file);
         st.pending_removes.push(file.to_owned());
         Ok(())
     }
 
     fn truncate(&mut self, file: &str, len: usize) -> MrResult<()> {
-        let mut st = self.state.lock();
-        if st.dead {
-            return Err(MrError::Durability);
-        }
+        let mut st = self.live()?;
         st.volatile
             .entry(file.to_owned())
             .or_default()
@@ -397,8 +398,10 @@ pub trait Storage: Send + Sync {
     /// snapshot.
     fn wants_snapshot(&self) -> bool;
 
-    /// Writes an atomic snapshot of `db` + `journal` and truncates the
-    /// sealed WAL prefix.
+    /// Writes an atomic snapshot of `db` and truncates the sealed WAL
+    /// prefix. `journal` is unused: a snapshot is a backup, which does not
+    /// carry the journal (`MoiraState::seal_snapshot` empties it). The
+    /// parameter goes when perfbench's `Storage` wrapper changes with it.
     fn snapshot(&mut self, db: &Database, journal: &Journal) -> MrResult<()>;
 
     /// Appends buffered (not yet fsynced) — 0 means everything committed
@@ -576,9 +579,10 @@ impl DurableEngine {
         self.obs = Some(obs);
     }
 
-    /// What the opening WAL scan found.
-    pub fn scan_stats(&self) -> WalScan {
-        self.scan
+    /// Sequence number of the newest frame appended or recovered: what the
+    /// next snapshot seals.
+    pub fn last_seq(&self) -> u64 {
+        self.next_seq.saturating_sub(1)
     }
 
     fn fsync_wal(&mut self) -> MrResult<()> {
@@ -639,8 +643,9 @@ impl Storage for DurableEngine {
         self.config.snapshot_every > 0 && self.since_snapshot >= self.config.snapshot_every
     }
 
-    fn snapshot(&mut self, db: &Database, journal: &Journal) -> MrResult<()> {
-        let span = self
+    fn snapshot(&mut self, db: &Database, _journal: &Journal) -> MrResult<()> {
+        // Recorded when dropped, on success or failure alike.
+        let _span = self
             .obs
             .as_ref()
             .map(|o| o.registry.span("db.snapshot.duration"));
@@ -648,22 +653,13 @@ impl Storage for DurableEngine {
         // asserts "everything up to here is in the snapshot", and a sealed
         // WAL must never be ahead of the durable one.
         self.flush()?;
-        let seal = self.next_seq.saturating_sub(1);
-        let text = encode_snapshot(db, journal, seal);
-        self.media.write_new(SNAPSHOT_TMP, text.as_bytes())?;
-        self.media.fsync(SNAPSHOT_TMP)?;
-        self.media.rename(SNAPSHOT_TMP, SNAPSHOT_FILE)?;
-        self.media.fsync_dir()?;
+        let text = encode_snapshot(db, self.last_seq()).into_bytes();
+        replace_file(&mut *self.media, SNAPSHOT_TMP, SNAPSHOT_FILE, &text, &[])?;
         // A crash from here on is harmless: stale WAL frames carry seqs
         // the sealed snapshot already covers, so recovery filters them.
         self.media.truncate(WAL_FILE, 0)?;
         self.media.fsync(WAL_FILE)?;
         self.since_snapshot = 0;
-        self.pending = 0;
-        self.pending_bytes = 0;
-        if let Some(span) = span {
-            span.finish();
-        }
         Ok(())
     }
 
@@ -788,7 +784,6 @@ mod tests {
         let image = recovered.expect("state");
         let snap = image.snapshot.expect("snapshot");
         assert_eq!(snap.seq, 3);
-        assert_eq!(snap.journal.len(), 3);
         assert_eq!(image.wal.len(), 2);
         assert_eq!(image.wal[0].args[0], "n3");
 

@@ -63,7 +63,7 @@ impl RowChange {
 /// same mutations therefore lands every row in the same slot with the same
 /// generation as the original — the property the crash-recovery torture
 /// test asserts byte-for-byte.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TableImage {
     /// Live rows: `(slot id, generation stamp, values)`, in id order.
     pub rows: Vec<(RowId, u64, Vec<Value>)>,

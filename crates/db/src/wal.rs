@@ -51,14 +51,6 @@ pub fn encode_frame(seq: u64, entry: &JournalEntry) -> Vec<u8> {
     frame
 }
 
-fn decode_payload(payload: &[u8]) -> Option<(u64, JournalEntry)> {
-    let text = std::str::from_utf8(payload).ok()?;
-    let (seq, line) = text.split_once(':')?;
-    let seq = seq.parse().ok()?;
-    let entry = JournalEntry::from_line(line).ok()?;
-    Some((seq, entry))
-}
-
 /// Scans a WAL byte stream into `(seq, entry)` frames.
 ///
 /// Tolerates a torn tail: the scan stops at the first short header, short
@@ -68,39 +60,34 @@ fn decode_payload(payload: &[u8]) -> Option<(u64, JournalEntry)> {
 pub fn scan_frames(bytes: &[u8]) -> (Vec<(u64, JournalEntry)>, WalScan) {
     let mut frames = Vec::new();
     let mut stats = WalScan::default();
-    let mut pos = 0usize;
-    loop {
-        if pos == bytes.len() {
-            break; // clean end
-        }
-        let Some(header) = bytes.get(pos..pos + 8) else {
-            stats.torn_tail_truncations = 1;
-            break;
-        };
-        let len = u32::from_le_bytes([header[0], header[1], header[2], header[3]]);
-        let crc = u32::from_le_bytes([header[4], header[5], header[6], header[7]]);
-        if len > MAX_FRAME_LEN {
-            stats.torn_tail_truncations = 1;
-            break;
-        }
-        let Some(payload) = bytes.get(pos + 8..pos + 8 + len as usize) else {
-            stats.torn_tail_truncations = 1;
-            break;
-        };
-        if crc32(payload) != crc {
-            stats.torn_tail_truncations = 1;
-            break;
-        }
-        let Some(frame) = decode_payload(payload) else {
+    while stats.clean_len < bytes.len() {
+        let Some((len, frame)) = read_frame(&bytes[stats.clean_len..]) else {
             stats.torn_tail_truncations = 1;
             break;
         };
         frames.push(frame);
-        pos += 8 + len as usize;
         stats.recovered_frames += 1;
-        stats.clean_len = pos;
+        stats.clean_len += len;
     }
     (frames, stats)
+}
+
+/// Decodes the frame at the head of `bytes` into its length (header
+/// included) and its `(seq, entry)`; `None` for anything [`scan_frames`]
+/// stops at.
+fn read_frame(bytes: &[u8]) -> Option<(usize, (u64, JournalEntry))> {
+    let word = |at: usize| Some(u32::from_le_bytes(bytes.get(at..at + 4)?.try_into().ok()?));
+    let (len, crc) = (word(0)?, word(4)?);
+    if len > MAX_FRAME_LEN {
+        return None;
+    }
+    let payload = bytes.get(8..8 + len as usize)?;
+    if crc32(payload) != crc {
+        return None;
+    }
+    let (seq, line) = std::str::from_utf8(payload).ok()?.split_once(':')?;
+    let entry = JournalEntry::from_line(line).ok()?;
+    Some((8 + len as usize, (seq.parse().ok()?, entry)))
 }
 
 #[cfg(test)]

@@ -433,7 +433,7 @@ mod intern_props {
     use std::sync::Arc;
 
     use moira_common::VClock;
-    use moira_db::journal::{Journal, JournalEntry};
+    use moira_db::journal::JournalEntry;
     use moira_db::schema::{ColumnDef, TableSchema};
     use moira_db::snapshot::{decode_snapshot, encode_snapshot};
     use moira_db::wal::{encode_frame, scan_frames};
@@ -474,26 +474,17 @@ mod intern_props {
                 db.append("t", vec![name.as_str().into(), val.as_str().into(), (*n).into()])
                     .unwrap();
             }
-            let mut journal = Journal::new();
-            journal.log(JournalEntry {
-                time: db.now(),
-                who: "ops:root".into(),
-                with: "prop".into(),
-                query: "add_thing".into(),
-                args: vec!["co:lon".into(), "b\\ck".into()],
-            });
-
             // Snapshot: decode + apply + re-encode is a byte-level fixed
             // point even though every string cell went through the
             // interner on both sides.
-            let text = encode_snapshot(&db, &journal, 5);
+            let text = encode_snapshot(&db, 5);
             let image = decode_snapshot(&text).unwrap();
             let mut back = Database::recovered(VClock::starting_at(image.now), image.epoch);
             for s in schema() {
                 back.create_table(s);
             }
             image.apply(&mut back).unwrap();
-            prop_assert_eq!(encode_snapshot(&back, &journal, 5), text);
+            prop_assert_eq!(encode_snapshot(&back, 5), text);
 
             // Pointer-level dedupe: in the rebuilt table, equal strings
             // share one allocation.

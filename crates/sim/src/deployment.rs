@@ -16,8 +16,8 @@ use moira_core::registry::Registry;
 use moira_core::seed::seed_capacls;
 use moira_core::state::{MoiraState, SharedState};
 use moira_core::userreg::RegistrationServer;
-use moira_db::backup::NightlyRotation;
-use moira_db::storage::{DurableEngine, GroupCommitConfig, SimMedia, Storage};
+use moira_db::backup::MediaRotation;
+use moira_db::storage::{DurableEngine, GroupCommitConfig, SimMedia};
 use moira_dcm::dcm::{install_dir, Dcm, DcmReport};
 use moira_dcm::host::SimHost;
 use moira_dcm::relay::RackTopology;
@@ -61,8 +61,8 @@ pub struct Deployment {
     /// What the population generator built.
     pub population: PopulationReport,
     /// The nightly.sh backup rotation ("maintains the last three backups
-    /// on line", §5.2.2).
-    pub backups: NightlyRotation,
+    /// on line", §5.2.2), on its own simulated media.
+    pub backups: MediaRotation<SimMedia>,
     /// Unix time of the most recent nightly backup.
     pub last_backup: i64,
     /// The server's durable storage media once
@@ -261,7 +261,7 @@ impl Deployment {
             dcm_key,
             regserver,
             population,
-            backups: NightlyRotation::new(),
+            backups: MediaRotation::new(SimMedia::new()),
             last_backup: 0,
             durable_media: None,
         }
@@ -280,12 +280,11 @@ impl Deployment {
             .expect("fresh sim media opens cleanly");
         let mut st = self.state.write();
         engine.set_obs(&st.obs);
-        // One-shot bootstrap: the initial snapshot needs the seeded db
-        // pinned, so its media write happens under the guard by design.
-        engine
-            .snapshot(&st.db, &st.journal)
-            .expect("sealing the initial snapshot on fresh media");
         st.storage = Box::new(engine);
+        // The initial seal needs the seeded db pinned, so its write to the
+        // in-memory sim media happens under the guard. lint:allow(lock-discipline)
+        st.seal_snapshot()
+            .expect("sealing the initial snapshot on fresh media");
         self.durable_media = Some(media.clone());
         media
     }
@@ -324,12 +323,17 @@ impl Deployment {
         report
     }
 
-    /// Runs the nightly backup: dumps every relation to ASCII and rotates
-    /// the three on-line generations, recording the backup time so journal
-    /// recovery knows where to replay from.
+    /// Runs the nightly backup: dumps every relation to ASCII, rotates
+    /// the three on-line generations, and empties the journal, which lists
+    /// only the changes since the newest backup. The backup time is
+    /// recorded so journal recovery knows where to replay from.
     pub fn run_nightly_backup(&mut self) {
-        let s = self.state.read();
-        self.backups.run_nightly(&s.db);
+        let mut s = self.state.write();
+        // The dump and the journal reset must see one database, so the
+        // write to in-memory sim media is under the guard. lint:allow(lock-discipline)
+        let rotated = self.backups.run_nightly(&s.db);
+        rotated.expect("the backup media is in memory and never armed");
+        s.journal.clear();
         self.last_backup = s.now();
     }
 

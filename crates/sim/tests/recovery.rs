@@ -101,6 +101,24 @@ fn restore_and_replay_invalidates_generator_caches() {
     );
 }
 
+/// The journal lists only the changes since the newest backup (§5.2.2):
+/// the nightly dump empties it, and the dump holds what it listed.
+#[test]
+fn nightly_backup_empties_the_journal() {
+    let mut d = Deployment::build(&PopulationSpec::small());
+    add_user(&d, "dumped", "7001");
+    assert!(!d.state.read().journal.is_empty());
+    d.run_nightly_backup();
+    assert!(d.state.read().journal.is_empty());
+    assert!(d.backups.generations()[0]["users"].contains("dumped"));
+
+    d.advance(60);
+    add_user(&d, "later", "7002");
+    let s = d.state.read();
+    assert_eq!(s.journal.len(), 1);
+    assert_eq!(s.journal.since(d.last_backup).count(), 1);
+}
+
 #[test]
 fn incremental_push_converges_over_flaky_link() {
     let mut d = Deployment::build(&PopulationSpec::small());

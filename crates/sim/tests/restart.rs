@@ -54,15 +54,14 @@ fn post_restart_dcm_cycle_ships_patches_not_fulls() {
     d.crash_server();
     let report = d.recover_server(eager_cfg());
     assert!(report.recovered);
-    assert!(
-        report.replayed > 0,
-        "the shell changes were replayed from the WAL: {report:?}"
+    assert_eq!(
+        report.replayed, journal_before,
+        "no committed change lost: {report:?}"
     );
     assert_eq!(report.scan.torn_tail_truncations, 0, "clean shutdown tail");
     {
         let s = d.state.read();
         assert_eq!(s.db.epoch(), epoch_before, "epoch survives the restart");
-        assert_eq!(s.journal.len(), journal_before, "no committed change lost");
         let snap = s.obs.snapshot();
         assert!(
             snap.counter("db.wal.recovered_frames") > 0,

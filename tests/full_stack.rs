@@ -460,7 +460,7 @@ fn wal_statistics_surface_over_tcp_after_durable_boot() {
             .unwrap();
         // The seeding above went straight to the database; seal it into the
         // snapshot so only client traffic rides the WAL.
-        st.storage.snapshot(&st.db, &st.journal).expect("seal seed");
+        st.seal_snapshot().expect("seal seed");
 
         let mut server =
             moira::core::MoiraServer::new(moira::core::state::shared(st), registry.clone(), None);
