@@ -254,7 +254,7 @@ fn main() {
             },
         ),
         run_scenario(
-            "Moira crash (data files lost, locks orphaned)",
+            "Moira crash (data files lost)",
             |d| {
                 // Crash mid-run: generate, then lose the DCM's in-memory
                 // state. The restarted DCM re-reads its srvtab from disk and

@@ -2,15 +2,15 @@
 //!
 //! The static lint proves lock discipline over the calls it can resolve;
 //! the runtime witness covers the rest (dynamic dispatch, closures,
-//! destructured receivers) by recording acquired-while-held edges as the
-//! code actually runs — lockdep-style. `MOIRA_LOCK_ORDER` selects how loud
-//! the witness is:
+//! destructured receivers) by tracking which threads hold the state lock
+//! as the code actually runs — lockdep-style. `MOIRA_LOCK_ORDER` selects
+//! how loud the witness is:
 //!
 //! - `off` — record nothing (release default);
-//! - `observe` — record edges and remember the first ordering cycle /
-//!   re-entrant acquisition, queryable by tests (debug default);
-//! - `strict` — panic at the violation site with the recorded edges, so
-//!   the offending test fails loudly (the CI lockdep job).
+//! - `observe` — count re-entrant acquisitions, queryable by tests (debug
+//!   default);
+//! - `strict` — panic at the violation site, so the offending test fails
+//!   loudly (the CI lockdep job).
 
 use std::sync::OnceLock;
 
@@ -19,9 +19,9 @@ use std::sync::OnceLock;
 pub enum OrderMode {
     /// Witness disabled; zero bookkeeping.
     Off,
-    /// Record edges, remember violations, never panic.
+    /// Count violations, never panic.
     Observe,
-    /// Panic at the violation site with the edge dump.
+    /// Panic at the violation site.
     Strict,
 }
 

@@ -17,11 +17,9 @@
 //! leading run of reads joins the read tier, and from its first write onward
 //! the remainder of its batch executes in order on the write tier, so a read
 //! that follows a write always observes it. Lock
-//! acquisition is bounded — a tier that cannot get its guard within the
-//! configured patience sheds its requests with [`MrError::Busy`] instead of
-//! blocking the loop, mirroring the database `LockManager`'s policy of
-//! reporting contention (`MR_BUSY`/`MR_DEADLOCK`) rather than waiting
-//! forever.
+//! acquisition is bounded — a tier that cannot get its guard within a fixed
+//! number of attempts sheds its requests with [`MrError::Busy`] instead of
+//! blocking the loop, reporting contention rather than waiting forever.
 //!
 //! The expensive database backend is initialized **once**, at server
 //! construction — the Athenareg lesson: "starting up a backend process is a
@@ -51,7 +49,7 @@ pub const MOIRA_PORT: u16 = 775;
 
 /// Try-lock attempts (with a scheduler yield between each) before a tier
 /// gives up on its guard and sheds the batch with `MR_BUSY`.
-const DEFAULT_LOCK_PATIENCE: u32 = 512;
+const LOCK_PATIENCE: u32 = 512;
 
 /// Wait clamp when some source cannot deliver readiness events — an
 /// unregistered fd, a selector-less platform, or a paused connection whose
@@ -133,8 +131,6 @@ pub struct MoiraServer {
     overload_limit: Option<usize>,
     /// Requests shed with `Busy` over the server's lifetime.
     shed_requests: u64,
-    /// Bounded lock-acquisition budget before shedding with `Busy`.
-    lock_patience: u32,
     /// Requests executed on the shared tier over the server's lifetime
     /// (requests shed with `Busy` are not counted).
     reads_dispatched: u64,
@@ -215,7 +211,6 @@ impl MoiraServer {
             listener: None,
             overload_limit: None,
             shed_requests: 0,
-            lock_patience: DEFAULT_LOCK_PATIENCE,
             reads_dispatched: 0,
             writes_dispatched: 0,
         }
@@ -243,12 +238,6 @@ impl MoiraServer {
     /// Requests shed with `Busy` since the server started.
     pub fn shed_requests(&self) -> u64 {
         self.shed_requests
-    }
-
-    /// Bounds how many try-lock attempts a tier makes before shedding its
-    /// batch with `Busy`.
-    pub fn set_lock_patience(&mut self, attempts: u32) {
-        self.lock_patience = attempts;
     }
 
     /// Requests executed on the (shared, exclusive) tiers so far. Requests
@@ -434,12 +423,9 @@ impl MoiraServer {
     }
 
     /// Bounded shared-lock acquisition: yields between attempts, gives up
-    /// after the configured patience so contention surfaces as `Busy`.
-    fn read_or_busy(
-        state: &SharedState,
-        patience: u32,
-    ) -> Option<crate::state::StateReadGuard<'_>> {
-        for _ in 0..patience {
+    /// after [`LOCK_PATIENCE`] attempts so contention surfaces as `Busy`.
+    fn read_or_busy(state: &SharedState) -> Option<crate::state::StateReadGuard<'_>> {
+        for _ in 0..LOCK_PATIENCE {
             if let Some(guard) = state.try_read() {
                 return Some(guard);
             }
@@ -449,11 +435,8 @@ impl MoiraServer {
     }
 
     /// Bounded exclusive-lock acquisition.
-    fn write_or_busy(
-        state: &SharedState,
-        patience: u32,
-    ) -> Option<crate::state::StateWriteGuard<'_>> {
-        for _ in 0..patience {
+    fn write_or_busy(state: &SharedState) -> Option<crate::state::StateWriteGuard<'_>> {
+        for _ in 0..LOCK_PATIENCE {
             if let Some(guard) = state.try_write() {
                 return Some(guard);
             }
@@ -629,7 +612,7 @@ impl MoiraServer {
             return;
         }
         let state = self.state.clone();
-        let Some(guard) = Self::read_or_busy(&state, self.lock_patience) else {
+        let Some(guard) = Self::read_or_busy(&state) else {
             for task in tasks.iter_mut() {
                 if matches!(task.work, Work::Read { .. }) {
                     task.work = self.shed();
@@ -681,7 +664,7 @@ impl MoiraServer {
             return;
         }
         let state = self.state.clone();
-        let Some(mut guard) = Self::write_or_busy(&state, self.lock_patience) else {
+        let Some(mut guard) = Self::write_or_busy(&state) else {
             for task in tasks.iter_mut() {
                 if matches!(task.work, Work::Write(_)) {
                     task.work = self.shed();
@@ -1607,7 +1590,6 @@ mod tests {
             &mut server,
             Request::new(MajorRequest::Auth, &["ops", "test"]),
         );
-        server.set_lock_patience(4);
         let obs_before = server.obs().snapshot();
         let dispatched_before = server.dispatch_counts();
         let state = server.state();

@@ -1,4 +1,4 @@
-//! Server state: database, journal, locks, access cache, connected clients.
+//! Server state: database, journal, access cache, connected clients.
 
 use std::cell::RefCell;
 use std::ops::{Deref, DerefMut};
@@ -9,7 +9,6 @@ use moira_common::clock::VClock;
 use moira_common::errors::MrResult;
 use moira_common::lockorder::{order_mode, OrderMode};
 use moira_db::journal::Journal;
-use moira_db::lock::LockManager;
 use moira_db::storage::{NullStorage, Storage};
 use moira_db::Database;
 use parking_lot::RwLock;
@@ -250,8 +249,6 @@ pub struct MoiraState {
     /// Journal of successful side-effecting queries since the newest
     /// backup (§5.2.2); [`MoiraState::seal_snapshot`] empties it.
     pub journal: Journal,
-    /// Service/host lock manager used by the DCM (§5.7.1).
-    pub locks: LockManager,
     /// The §5.5 access cache.
     pub access_cache: AccessCache,
     /// Connected clients (maintained by the server loop).
@@ -259,7 +256,7 @@ pub struct MoiraState {
     /// Set by a `Trigger_DCM` request; drained by whoever runs DCM cycles.
     pub dcm_trigger: bool,
     /// The instrument registry every layer records into (server dispatch,
-    /// lock manager, DCM stages) and `get_server_statistics` snapshots.
+    /// database, DCM stages) and `get_server_statistics` snapshots.
     pub obs: moira_obs::Registry,
     /// The durable backend committed mutations are appended to. Defaults
     /// to [`NullStorage`] (the historical in-memory server); the durable
@@ -297,7 +294,6 @@ impl MoiraState {
         MoiraState {
             db,
             journal: Journal::new(),
-            locks: LockManager::with_obs(obs.clone()),
             access_cache: AccessCache::new(),
             clients: Vec::new(),
             dcm_trigger: false,

@@ -3,9 +3,9 @@
 //! replies, mid-frame disconnects, and hostile frame headers.
 //!
 //! Every scenario must leave the server spotless: no lingering connection,
-//! no registered client, an idle lock manager, and a connection gauge back
-//! at zero — a hostile peer costs the server a bounded amount of memory
-//! and nothing after it leaves.
+//! no registered client, and a connection gauge back at zero — a hostile
+//! peer costs the server a bounded amount of memory and nothing after it
+//! leaves.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -135,7 +135,7 @@ fn server_with_admin() -> (MoiraServer, SharedState, String) {
 }
 
 /// Polls until the server has torn the connection down, then asserts the
-/// client registry and the lock manager hold nothing.
+/// client registry holds nothing.
 fn assert_spotless(server: &mut MoiraServer, state: &SharedState) {
     for _ in 0..10_000 {
         server.poll_with_timeout(Some(TICK));
@@ -148,7 +148,6 @@ fn assert_spotless(server: &mut MoiraServer, state: &SharedState) {
     assert_eq!(snap.gauge("server.connections.open"), 0);
     let s = state.read();
     assert!(s.clients.is_empty(), "client registry not cleaned");
-    assert!(s.locks.is_idle(), "lock manager left non-idle");
 }
 
 #[test]
@@ -186,8 +185,8 @@ fn slow_loris_byte_dribble_is_assembled_and_answered() {
 fn mid_frame_disconnect_leaves_no_residue() {
     let (mut server, state, addr) = server_with_admin();
 
-    // An authenticated session first, so teardown has real registry and
-    // lock-manager state to clean, not just a blank connection.
+    // An authenticated session first, so teardown has real registry state
+    // to clean, not just a blank connection.
     let mut client = RawClient::connect(&addr);
     client.send(&Request::new(MajorRequest::Auth, &["ops", "loris"]));
     let reply = client.pump_frame(&mut server);

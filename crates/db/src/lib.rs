@@ -17,8 +17,6 @@
 //!   chosen by a cost model over live bucket cardinalities, with the scan
 //!   fallback and EXPLAIN descriptions.
 //! - [`database`] — the named-table container with a shared virtual clock.
-//! - [`lock`] — the shared/exclusive named lock manager with deadlock
-//!   detection (`MR_DEADLOCK`), used by the DCM's service/host locking.
 //! - [`backup`] — `mrbackup`/`mrrestore` (§5.2.2): the colon-separated
 //!   ASCII dump codec with `\:`, `\\` and `\nnn` escapes that snapshots
 //!   share, plus three-generation rotation on durable media.
@@ -32,7 +30,6 @@
 pub mod backup;
 pub mod database;
 pub mod journal;
-pub mod lock;
 pub mod plan;
 pub mod query;
 pub mod schema;

@@ -4,18 +4,21 @@
 //! services table generating data files for services whose interval has
 //! elapsed (with `MR_NO_CHANGE` suppression), then scan server-hosts and
 //! push updates to every enabled host that has not been updated since the
-//! data files were generated (or has `override` set). Locking, inprogress
-//! flags, soft/hard error bookkeeping, and Zephyr/mail notification follow
-//! the paper.
+//! data files were generated (or has `override` set). Inprogress flags,
+//! soft/hard error bookkeeping, and Zephyr/mail notification follow the
+//! paper. The paper's service and host locks kept two cron-started DCM
+//! processes apart; here a deployment owns one `Dcm`, whose `run_once`
+//! takes `&mut self`, and every database step runs under the
+//! [`SharedState`] guard, so neither lock has anything left to exclude.
 //!
 //! Past the paper's ~20 hosts, the host scan runs hierarchically: update
 //! legs execute on a bounded worker pool (`fanout_width`), and a
 //! [`RackTopology`] splits each cycle into an *origin* wave (rack relays
 //! and direct hosts) followed by a *leaf* wave gated on each rack's relay
-//! — see [`crate::relay`]. Each leg is three phases: *prepare* (locks, DB
-//! writes, archive, credentials — serial), *transfer* (network only — on
-//! the pool), *record* (stats, cursor, retry ledger, DB — serial, in todo
-//! order). Width 1 is the same pool with one worker: it visits hosts in
+//! — see [`crate::relay`]. Each leg is three phases: *prepare* (inprogress
+//! bit, DB writes, archive, credentials — serial), *transfer* (network
+//! only — on the pool), *record* (stats, cursor, retry ledger, DB — serial,
+//! in todo order). Width 1 is the same pool with one worker: it visits hosts in
 //! todo order and stops a replicated service at its first hard failure,
 //! which is the paper's serial scan.
 
@@ -27,7 +30,6 @@ use std::time::Instant;
 use moira_common::errors::MrResult;
 use moira_core::registry::Registry;
 use moira_core::state::{Caller, MoiraState, SharedState};
-use moira_db::lock::LockMode;
 use moira_db::Pred;
 use parking_lot::Mutex;
 
@@ -83,8 +85,6 @@ pub struct DcmStats {
     pub retries_deferred: u64,
     /// Soft-failure streaks escalated to operator-visible hard errors.
     pub escalations: u64,
-    /// Updates refused because another update of the host was in progress.
-    pub busy_conflicts: u64,
     /// Leaf legs deferred because their rack's relay failed or was
     /// unreachable — the rack retries next cycle; no streak is charged.
     pub relay_deferrals: u64,
@@ -305,10 +305,6 @@ impl Dcm {
             return report;
         }
         self.stats.scans += 1;
-        // A DCM that crashed mid-run holds no locks after restart; the
-        // inprogress flags it left behind are advisory only ("It is not
-        // relyed upon for locking", §5.7.1).
-        self.state.write().locks.release_all("dcm");
 
         // Snapshot the services passing the initial check.
         let services = self.eligible_services();
@@ -359,16 +355,10 @@ impl Dcm {
             return;
         }
         // "it will obtain an exclusive lock on the service, set the
-        // inprogress flag, then run the generator."
+        // inprogress flag, then run the generator." `&mut self` is the
+        // exclusive lock.
         {
             let mut state = self.state.write();
-            if state
-                .locks
-                .acquire("dcm", &format!("svc:{}", svc.name), LockMode::Exclusive)
-                .is_err()
-            {
-                return;
-            }
             let _ = self.exec(
                 &mut state,
                 "set_server_internal_flags",
@@ -438,7 +428,6 @@ impl Dcm {
                 errmsg,
             ],
         );
-        state.locks.release("dcm", &format!("svc:{}", svc.name));
     }
 
     fn host_phase(&mut self, svc: &ServiceInfo, report: &mut DcmReport) {
@@ -475,23 +464,6 @@ impl Dcm {
                 Err(_) => return,
             }
         }
-        // "During the host scan, the DCM first locks the service … If the
-        // service type is replicated … exclusively, otherwise … shared."
-        let mode = if svc.replicated {
-            LockMode::Exclusive
-        } else {
-            LockMode::Shared
-        };
-        {
-            let mut state = self.state.write();
-            if state
-                .locks
-                .acquire("dcm", &format!("svc:{}", svc.name), mode)
-                .is_err()
-            {
-                return;
-            }
-        }
         let todo = self.hosts_needing_update(&svc.name, dfgen);
         // The shared (non-per-host) archive, cloned once per cycle into an
         // Arc every leg of the fan-out reads.
@@ -500,8 +472,6 @@ impl Dcm {
             .get(&svc.name)
             .map(|b| Arc::new(b.archive().clone()));
         self.fanout_phase(svc, dfgen, &todo, shared.as_ref(), report);
-        let mut state = self.state.write();
-        state.locks.release("dcm", &format!("svc:{}", svc.name));
     }
 
     /// "If there is a hard failure and the service is replicated, then the
@@ -657,7 +627,7 @@ impl Dcm {
         out
     }
 
-    /// One wave of legs: prepares each serially (DB writes, host locks,
+    /// One wave of legs: prepares each serially (DB writes, inprogress bits,
     /// credentials — in todo order), transfers on the worker pool, records
     /// each outcome serially back in todo order. Returns per-host success
     /// for the caller's relay gating.
@@ -685,7 +655,6 @@ impl Dcm {
             let (mach_name, mach_id, value3) = &todo[*i];
             let relay = relay_name.as_ref().and_then(|r| self.hosts.get(r).cloned());
             match self.prepare_update(svc, mach_name, *mach_id, value3, shared, relay) {
-                Prepared::Busy => entries.push((*i, Err(UpdateError::Busy))),
                 Prepared::Failed(e) => {
                     let result = self.record_update(
                         svc,
@@ -798,23 +767,18 @@ impl Dcm {
 
     /// Reverses `prepare_update` for a leg that never ran: writes back the
     /// server-host row's bookkeeping as it was before the prepare (so the
-    /// host stays in the next cycle's todo list with its old `ltt`/`lts`)
-    /// and releases the host lock. The leg was never attempted, so nothing
-    /// is counted.
+    /// host stays in the next cycle's todo list with its old `ltt`/`lts`).
+    /// The leg was never attempted, so nothing is counted.
     fn abort_prepared(&mut self, svc: &ServiceInfo, job: &UpdateJob) {
         let mut state = self.state.write();
         let mut args = vec![svc.name.clone(), job.mach_name.clone()];
         args.extend(job.prior.iter().cloned());
         let _ = self.exec(&mut state, "set_server_host_internal", &args);
-        state
-            .locks
-            .release("dcm", &format!("host:{}:{}", svc.name, job.mach_name));
     }
 
     /// Phase 1 of a leg — everything that must stay serial on the DCM
-    /// thread: the exclusive host lock and inprogress bit, the archive
-    /// build, and fresh credentials (the authenticator nonce is a
-    /// sequence).
+    /// thread: the inprogress bit, the archive build, and fresh credentials
+    /// (the authenticator nonce is a sequence).
     fn prepare_update(
         &mut self,
         svc: &ServiceInfo,
@@ -825,26 +789,10 @@ impl Dcm {
         relay: Option<Arc<Mutex<SimHost>>>,
     ) -> Prepared {
         let now = self.state.read().now();
-        // Exclusive lock on the host + inprogress bit, remembering the row's
-        // bookkeeping so a leg that never runs can be undone exactly.
+        // Inprogress bit, remembering the row's bookkeeping so a leg that
+        // never runs can be undone exactly.
         let prior = {
             let mut state = self.state.write();
-            if state
-                .locks
-                .acquire(
-                    "dcm",
-                    &format!("host:{}:{}", svc.name, mach_name),
-                    LockMode::Exclusive,
-                )
-                .is_err()
-            {
-                // Another update of this host holds the lock: a distinct
-                // soft conflict, not a network timeout. The colliding pass
-                // simply retries later; no failure streak is charged.
-                self.stats.updates_attempted += 1;
-                self.stats.busy_conflicts += 1;
-                return Prepared::Busy;
-            }
             let prior = host_book(&state, &svc.name, mach_id);
             let _ = self.exec(
                 &mut state,
@@ -898,16 +846,15 @@ impl Dcm {
                     prior,
                 }))
             }
-            // The host lock stays held: recording the failure releases it,
-            // exactly as the legacy single-phase path did.
+            // The inprogress bit stays set: recording the failure clears it.
             Err(e) => Prepared::Failed(e),
         }
     }
 
     /// Phase 3 of a leg — everything after the network returns, serial on
     /// the DCM thread: the attempt counter, obs counters, the cursor
-    /// advance, retry-ledger and notice bookkeeping, the final server-host
-    /// row write, and the host lock release.
+    /// advance, retry-ledger and notice bookkeeping, and the final
+    /// server-host row write.
     #[allow(clippy::too_many_arguments)]
     fn record_update(
         &mut self,
@@ -1057,21 +1004,16 @@ impl Dcm {
                 },
             ],
         );
-        state
-            .locks
-            .release("dcm", &format!("host:{}:{}", svc.name, mach_name));
         result
     }
 }
 
 /// What `prepare_update` produced for one leg.
 enum Prepared {
-    /// Locked, prepared, and ready for its network legs.
+    /// Marked inprogress and ready for its network legs.
     Job(Box<UpdateJob>),
-    /// Host lock held by someone else; nothing was written or locked.
-    Busy,
-    /// Archive build failed. The host lock and inprogress bit are still
-    /// held — recording the failure releases them.
+    /// Archive build failed. The inprogress bit is still set — recording
+    /// the failure clears it.
     Failed(UpdateError),
 }
 
@@ -1628,40 +1570,6 @@ mod tests {
         let report = dcm.run_once();
         assert_eq!(report.updates.len(), 1, "one retry per pass under budget 1");
         assert!(dcm.stats.retries_deferred >= 1);
-    }
-
-    #[test]
-    fn host_lock_conflict_is_distinct_busy_error() {
-        let (mut dcm, state, _hosts) = setup();
-        // Another actor (a concurrent DCM pass, say) holds the host lock.
-        state
-            .write()
-            .locks
-            .acquire("other", "host:HESIOD:KIWI.MIT.EDU", LockMode::Exclusive)
-            .unwrap();
-        let report = dcm.run_once();
-        let kiwi = report
-            .updates
-            .iter()
-            .find(|(_, h, _)| h == "KIWI.MIT.EDU")
-            .unwrap();
-        assert_eq!(kiwi.2, Err(UpdateError::Busy), "not mislabelled Timeout");
-        assert_eq!(dcm.stats.busy_conflicts, 1);
-        // Busy is an internal collision: it charges no failure streak.
-        assert!(!dcm.retry_book().is_retry("HESIOD", "KIWI.MIT.EDU"));
-        // When the collision clears, the next pass succeeds.
-        state
-            .write()
-            .locks
-            .release("other", "host:HESIOD:KIWI.MIT.EDU");
-        state.write().db.clock().advance(60);
-        let report = dcm.run_once();
-        let kiwi = report
-            .updates
-            .iter()
-            .find(|(_, h, _)| h == "KIWI.MIT.EDU")
-            .unwrap();
-        assert!(kiwi.2.is_ok());
     }
 
     /// Width 1 with zero racks is the pool with one worker: it updates

@@ -746,7 +746,7 @@ fn is_item_modifier(t: &Token) -> bool {
 
 /// Splits an impl/trait header into (trait name, self type name).
 /// `Storage for DurableEngine` → (Some(Storage), Some(DurableEngine));
-/// `LockManager` → (None, Some(LockManager));
+/// `Registry` → (None, Some(Registry));
 /// a `trait T` header parses the same way (owner = T).
 fn impl_parts(header: &[Token]) -> (Option<String>, Option<String>) {
     let mut i = 0usize;

@@ -18,12 +18,12 @@
 //!   `enabled` flag; a disabled registry turns recording into a single
 //!   relaxed load, so the `results/obs_overhead.json` bench can price the
 //!   instrumentation itself.
-//! - **A clock seam.** Spans and wait timers read nanoseconds through the
-//!   registry's [`ClockSource`]; the deployment simulator swaps in the
-//!   shared [`VClock`] so stage durations report *simulated* time.
+//! - **A clock seam.** Spans read nanoseconds through the registry's
+//!   [`ClockSource`]; the deployment simulator swaps in the shared
+//!   [`VClock`] so stage durations report *simulated* time.
 //!
 //! Instrument names are dotted families, lowest-cardinality prefix first
-//! (`server.*`, `db.lock.*`, `db.plan.*`, `dcm.*`). The DCM's hierarchical
+//! (`server.*`, `db.plan.*`, `dcm.*`). The DCM's hierarchical
 //! push adds two: `dcm.fanout.*` (pool width/rack gauges, origin versus
 //! relay-leaf leg counts, relay deferrals, wall-versus-summed-leg
 //! nanoseconds) and the `dcm.transfer.{origin,relay}.*` tier split of the
@@ -425,12 +425,7 @@ impl Registry {
         self.inner.clock.lock().clone()
     }
 
-    /// Current time in nanoseconds on the registry's clock axis.
-    pub fn now_nanos(&self) -> u64 {
-        self.clock_source().now_nanos()
-    }
-
-    /// Routes spans and wait timers through the shared simulation clock.
+    /// Routes spans through the shared simulation clock.
     pub fn set_virtual_clock(&self, vclock: VClock) {
         *self.inner.clock.lock() = ClockSource::Virtual(vclock);
     }
@@ -499,8 +494,8 @@ impl Default for Registry {
 
 impl fmt::Debug for Registry {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        // Deliberately lock-free: Debug-printing a LockManager mid-poll
-        // must never contend with instrument creation.
+        // Deliberately lock-free: Debug-printing a holder of the registry
+        // mid-poll must never contend with instrument creation.
         write!(f, "Registry {{ enabled: {} }}", self.enabled())
     }
 }

@@ -65,30 +65,22 @@ pub trait Channel: Send {
     fn is_closed(&self) -> bool;
 
     /// Readiness fd for reactor registration, if this transport has one.
-    fn raw_fd(&self) -> Option<RawFd> {
-        None
-    }
+    fn raw_fd(&self) -> Option<RawFd>;
 
     /// Drains as much queued output as the OS will take without blocking.
     /// `Ok(true)` when the outbox is empty, `Ok(false)` when bytes remain
     /// (write interest should stay registered), `Err` when the peer died.
-    fn flush(&mut self) -> io::Result<bool> {
-        Ok(true)
-    }
+    fn flush(&mut self) -> io::Result<bool>;
 
     /// Bytes queued toward the peer and not yet accepted by the OS (TCP)
     /// or consumed by the peer (in-proc). The backpressure signal.
-    fn queued_bytes(&self) -> usize {
-        0
-    }
+    fn queued_bytes(&self) -> usize;
 
     /// The outbox high-water mark this channel advertises to the server.
-    fn write_cap(&self) -> usize {
-        usize::MAX
-    }
+    fn write_cap(&self) -> usize;
 
     /// Overrides the outbox high-water mark (tests and benches).
-    fn set_write_cap(&mut self, _cap: usize) {}
+    fn set_write_cap(&mut self, cap: usize);
 }
 
 #[cfg(unix)]
@@ -237,6 +229,12 @@ impl Channel for InProcChannel {
         }
         #[cfg(not(unix))]
         None
+    }
+
+    /// Nothing to drain: `send` hands the frame straight to the peer's
+    /// queue, and [`Channel::queued_bytes`] reports what it has not read.
+    fn flush(&mut self) -> io::Result<bool> {
+        Ok(true)
     }
 
     fn queued_bytes(&self) -> usize {

@@ -14,7 +14,7 @@ use std::sync::Arc;
 use moira_common::clock::VClock;
 use moira_common::rng::Mt;
 use moira_dcm::net::{NetFault, Network};
-use moira_protocol::transport::Channel;
+use moira_protocol::transport::{Channel, RawFd};
 use parking_lot::Mutex;
 
 /// Fault configuration of one link (Moira ↔ one named host).
@@ -231,7 +231,8 @@ impl Network for NetFabric {
 /// link: partitioned links refuse sends, and lossy links silently swallow
 /// frames — the sender only finds out when its per-request deadline
 /// expires, exactly like a dropped TCP segment whose retransmits never
-/// arrive.
+/// arrive. Everything else — readiness fd, flushing, backpressure — is the
+/// inner channel's.
 pub struct FaultyChannel {
     inner: Box<dyn Channel>,
     fabric: Arc<NetFabric>,
@@ -268,6 +269,26 @@ impl Channel for FaultyChannel {
 
     fn is_closed(&self) -> bool {
         self.inner.is_closed()
+    }
+
+    fn raw_fd(&self) -> Option<RawFd> {
+        self.inner.raw_fd()
+    }
+
+    fn flush(&mut self) -> std::io::Result<bool> {
+        self.inner.flush()
+    }
+
+    fn queued_bytes(&self) -> usize {
+        self.inner.queued_bytes()
+    }
+
+    fn write_cap(&self) -> usize {
+        self.inner.write_cap()
+    }
+
+    fn set_write_cap(&mut self, cap: usize) {
+        self.inner.set_write_cap(cap)
     }
 }
 
@@ -388,5 +409,22 @@ mod tests {
         // A partitioned link refuses outright.
         fabric.partition("LINK");
         assert!(chan.send(bytes::Bytes::from_static(b"four")).is_err());
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn faulty_channel_forwards_readiness_and_backpressure() {
+        use moira_protocol::transport::pair;
+        let fabric = Arc::new(NetFabric::new(VClock::new(), 3));
+        let (client_end, _unread) = pair();
+        let fd = client_end.raw_fd();
+        let mut chan = FaultyChannel::new(Box::new(client_end), fabric, "LINK");
+        assert!(fd.is_some());
+        assert_eq!(chan.raw_fd(), fd, "the server registers the inner fd");
+        chan.set_write_cap(16);
+        assert_eq!(chan.write_cap(), 16);
+        chan.send(bytes::Bytes::from_static(b"unread")).unwrap();
+        assert_eq!(chan.queued_bytes(), 6, "nobody reads the bytes");
+        assert!(chan.flush().unwrap());
     }
 }
